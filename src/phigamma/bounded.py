@@ -253,7 +253,6 @@ class SubspaceReport:
     stable: bool
 
     def coord_matrix(self) -> np.ndarray:
-        G = gf(self.module.ctx.field)
         if not self.basis:
             return np.zeros((0, len(basis_for(self.module))), dtype=np.int64)
         return np.array([[c.index() for c in e.coords] for e in self.basis], dtype=np.int64)
@@ -295,7 +294,6 @@ def compute_VJ(module: RankOneModule, J, sign: str = None, strict_p2=False, stab
         profs2 = weight_profiles(module2, J)
         prof2 = _pick_profile(profs2, sign)
         span2, _ = _vj_span(module2, prof2, strict_p2)
-        G = gf(ctx.field)
         stable = span.shape == span2.shape and bool(np.array_equal(span, span2))
     return SubspaceReport(
         module=module,

@@ -2,7 +2,8 @@
 
 Configuration is a single JSON document (stdin or --config path); all defaults
 are echoed into the output for reproducibility.  Exit codes: 0 success,
-2 config error, 3 window-inconclusive, 4 precision exhaustion.
+2 config error, 3 window-inconclusive, 4 precision exhaustion, 5 a lemma
+failed in ``verify``.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .field import Field, FieldError, FieldSpec, default_modulus, make_field
+from .field import Field, FieldSpec, default_modulus, make_field
 from .series import LaurentSeries, PrecisionError
 from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_PRECISION = 4
+EXIT_LEMMA_FAILED = 5
 
 
 class ConfigError(ValueError):
@@ -53,36 +55,39 @@ def build_context(cfg: dict, scale: int = 1):
         f = int(cfg["f"])
     except (KeyError, ValueError, TypeError):
         raise ConfigError("config needs integer fields 'p' and 'f'")
-    m = int(cfg.get("m", f))
-    modulus = tuple(cfg["modulus"]) if "modulus" in cfg else default_modulus(p, m)
-    try:
-        field = make_field(FieldSpec(p, f, m, modulus))
-    except FieldError as exc:
-        raise ConfigError(str(exc))
     prec = cfg.get("precision", {})
+    if not isinstance(prec, dict):
+        raise ConfigError("'precision' must be an object")
     pi_order = prec.get("pi_order")
     tail_floor = prec.get("tail_floor")
-    padic_depth = int(prec.get("padic_depth", 3))
-    ctx = Context(
-        field,
-        pi_order=scale * pi_order if pi_order else None,
-        tail_floor=scale * tail_floor if tail_floor else None,
-        chi_eta=cfg.get("chi_eta"),
-        padic_depth=padic_depth,
-    )
-    if scale != 1 and not pi_order:
-        ctx = ctx.scaled(scale)
+    try:
+        m = int(cfg.get("m", f))
+        modulus = tuple(cfg["modulus"]) if "modulus" in cfg else default_modulus(p, m)
+        field = make_field(FieldSpec(p, f, m, modulus))
+        ctx = Context(
+            field,
+            pi_order=scale * pi_order if pi_order else None,
+            tail_floor=scale * tail_floor if tail_floor else None,
+            chi_eta=cfg.get("chi_eta"),
+            padic_depth=int(prec.get("padic_depth", 3)),
+        )
+        if scale != 1 and not pi_order:
+            ctx = ctx.scaled(scale)
+    except (ValueError, TypeError) as exc:  # FieldError is a ValueError
+        raise ConfigError(str(exc))
     return ctx
 
 
 def parse_module(ctx: Context, cfg: dict) -> RankOneModule:
-    C = cfg.get("C", 1)
-    Celt = ctx.field.element(C)
+    try:
+        Celt = ctx.field.element(cfg.get("C", 1))
+        c = [int(x) for x in cfg["c"]] if "c" in cfg else None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("'C' must be a field element and 'c' a list of integers: %s" % exc)
     if not Celt:
         raise ConfigError("C must be nonzero")
-    if "c" not in cfg:
+    if c is None:
         raise ConfigError("config needs the digit vector 'c'")
-    c = [int(x) for x in cfg["c"]]
     if len(c) != ctx.f:
         raise ConfigError("digit vector must have length f")
     try:
@@ -299,7 +304,7 @@ def cmd_verify(args) -> int:
     out = echo(ctx, cfg)
     out.update({"failures": failures, "reports": reports, "stable": True})
     print(json.dumps(out, sort_keys=True, indent=2))
-    return EXIT_OK
+    return EXIT_LEMMA_FAILED if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import FieldElement
 from .series import LaurentSeries, PrecisionError
-from .tate import Context, GammaElement, NonBijectiveError, TateElement, solve_phi_minus_one
+from .tate import Context, GammaElement, NonBijectiveError, TateElement, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
 from .gflinalg import gf
 
@@ -104,8 +104,7 @@ def coboundary(module: RankOneModule, b: TateElement, label: str = "cob") -> Coc
     ctx = module.ctx
     mu_phi = module.kappa_phi() * ctx.phi_act(b) - b
     mu_gen = {}
-    names = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if ctx.p == 2 else [])
-    for name, gamma in names:
+    for name, gamma in ctx.generators():
         mu_gen[name] = module.kappa_gamma(gamma) * ctx.gamma_act(gamma, b) - b
     return Cocycle(module, mu_phi, mu_gen, label)
 
@@ -255,7 +254,7 @@ def build_H(module: RankOneModule, i: int, collect_pivots=None) -> LaurentSeries
             j = 0
             while 1 - p ** (j + 1) != v and j <= r:
                 j += 1
-            if j > r or j < 1 - 1:
+            if j > r:
                 raise PivotError("stuck at exponent %d outside the rescue schedule" % v)
             block, block_res = _pivot_block(module, sigma, j)
             if collect_pivots is not None:
@@ -370,23 +369,6 @@ def build_Bi_prime(module: RankOneModule, i: int) -> Cocycle:
 # ---------------------------------------------------------------------------
 
 
-def _solve_f1_phi_tail(ctx: Context, h: LaurentSeries) -> LaurentSeries:
-    """Unique u in pi F[[pi]] with u(pi^p) - u(pi) = h, h in pi F[[pi]]."""
-    if not h.is_zero() and h.val() < 1:
-        raise ValueError("tail solve needs h in pi F[[pi]]")
-    order = int(min(h.order, ctx.M))
-    rows = h.coeff_rows(0, order)
-    out = np.zeros_like(rows)
-    field = ctx.field
-    p = ctx.p
-    for n in range(1, order):
-        un = -field.from_row(rows[n])
-        if n % p == 0:
-            un = un + field.from_row(out[n // p])
-        out[n] = un.row()
-    return LaurentSeries(field, 0, order, out)
-
-
 def build_Btr(module: RankOneModule) -> Cocycle:
     """The tres-ramifiee class for the cyclotomic module (p > 2, C = 1, c = (p-2,...)).
 
@@ -428,7 +410,7 @@ def build_Btr(module: RankOneModule) -> Cocycle:
         raise PivotError("expected residual alpha(pi^-p - pi^-1); got alpha=%r beta=%r" % (alpha, beta))
     # (phi - 1) g' = residual with g' = alpha pi^-1 + tail
     tail = residual - (ctx.pi(-p, alpha) + ctx.pi(-1, beta))
-    gprime = ctx.pi(-1, alpha) + _solve_f1_phi_tail(ctx, tail)
+    gprime = ctx.pi(-1, alpha) + solve_phi_unit_tail(ctx, tail, q=p)
     comp_phi = hprime.shift(2 - p)
     comp_eta = gprime.shift(2 - p)
     mu_phi = ctx.tate([comp_phi] * ctx.f)
@@ -476,23 +458,13 @@ def build_trivial_basis(module: RankOneModule):
         raise ValueError("build_trivial_basis needs C = 1, c = 0")
     H, _nu = _trivial_H(ctx)
     D = H - H.substitute_power(p)  # -H(pi^p) + H(pi)
-    gens = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if p == 2 else [])
+    gens = ctx.generators()
     g_of = {}
     for name, gamma in gens:
         rhs = ctx.gamma_act_series(gamma, D) - D
         if not rhs.is_zero() and rhs.val() < 1:
             raise PivotError("(gamma - 1)(-H(pi^p) + H(pi)) is not in pi F[[pi]]")
-        # g(pi^(p^f)) - g(pi) = rhs, g in pi F[[pi]]
-        order = int(min(rhs.order, ctx.M))
-        rows = rhs.coeff_rows(0, order)
-        out = np.zeros_like(rows)
-        q = p**f
-        for n in range(1, order):
-            gn = -ctx.field.from_row(rows[n])
-            if n % q == 0:
-                gn = gn + ctx.field.from_row(out[n // q])
-            out[n] = gn.row()
-        g_of[name] = LaurentSeries(ctx.field, 0, order, out)
+        g_of[name] = solve_phi_unit_tail(ctx, rhs)
     basis = []
     mu_nr = ctx.tate_unit_vector(0, ctx.one_series(ctx.M))
     zero_gen = {name: ctx.tate_zero(ctx.M) for name, _ in gens}
@@ -615,9 +587,6 @@ class PhiTransport:
             u0 = acc / (self.module.C - one)
         u = [None] * self.f
         u[0] = u0
-        for i in range(self.f - 1, 0, -1):
-            # u_i = C_i u_{i+1} - h_i  walked backwards from u_0 = C_0 u_1 - h_0
-            pass
         # forward: u_{i+1} = (u_i + h_i) / C_i
         for i in range(self.f - 1):
             u[i + 1] = (u[i] + hvals[i]) / self.Ci[i]
@@ -759,8 +728,7 @@ def _residual_data(layout: TailLayout, c: Cocycle, t_probe=False) -> _ResidualDa
         cycle = tr.cycle_violation.index() if tr.cycle_violation is not None else 0
     b = tr.series(layout.floor_ref, layout.res_hi)
     rhos = []
-    names = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if ctx.p == 2 else [])
-    for name, gamma in names:
+    for name, gamma in ctx.generators():
         kg = module.kappa_gamma(gamma)
         rho = kg * ctx.gamma_act(gamma, b) - b
         if not t_probe:

@@ -6,6 +6,7 @@ window and never silently extends it.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -350,38 +351,65 @@ class LaurentSeries:
         return "<series %s%s + O(pi^%s)>" % (" + ".join(terms) or "0", tail, o)
 
 
+@functools.lru_cache(maxsize=None)
+def _pascal_block(p: int, size: int, inverse: bool) -> np.ndarray:
+    """The Kronecker power, over the digits of ``size`` = p^g, of the p x p matrix
+    (-1)^(n-k) C(n, k) mod p (pi^n -> y^k), or of C(k, j) mod p (y^k -> pi^j)."""
+    base = np.array(
+        [[math.comb(n, k) * (1 if inverse else (-1) ** ((n - k) % 2)) % p for n in range(p)] for k in range(p)],
+        dtype=np.int64,
+    )
+    out = np.ones((1, 1), dtype=np.int64)
+    while out.shape[0] < size:
+        out = np.kron(out, base) % p
+    out.setflags(write=False)  # shared by every caller through the cache
+    return out
+
+
+def pascal_transform(x: np.ndarray, p: int, inverse: bool = False) -> np.ndarray:
+    """Change of basis pi^n <-> y^k, y = 1 + pi, on coefficient rows x of shape (p^N, m).
+
+    Forward gives the coefficients in the basis y^k; ``inverse`` goes back.  By
+    Lucas's theorem both matrices are N-fold Kronecker powers of one p x p
+    Pascal matrix, so they are applied a block of digits (at most 64 indices)
+    at a time on the (..., block, ...) view of x."""
+    P = x.shape[0]
+    width = p
+    while width * p <= 64:
+        width *= p
+    a, c = 1, x.size
+    while a < P:
+        blk = _pascal_block(p, min(width, P // a), inverse)
+        b = blk.shape[0]
+        c //= b
+        x = np.matmul(blk, x.reshape(a, b, c)) % p
+        a *= b
+    return x.reshape(P, -1)
+
+
+def pascal_size(p: int, n: int) -> int:
+    """The smallest power of p that is at least n."""
+    P = 1
+    while P < n:
+        P *= p
+    return P
+
+
 def one_plus_pi_pow(field: Field, u, order) -> LaurentSeries:
-    """(1 + pi)^u truncated below ``order``, binomials mod p via Lucas digits."""
+    """(1 + pi)^u truncated below ``order``: the back-transform of y^(u mod p^N), p^N >= order."""
     p = field.p
     order = int(order)
     if order <= 0:
         return LaurentSeries.zero(field, order)
-    ndig = 1
-    while p**ndig < order:
-        ndig += 1
     if isinstance(u, PadicInteger):
         if p**u.ndigits < order:
             raise PrecisionError("need p^ndigits >= order to expand (1+pi)^u")
-        uval = u.value % p**u.ndigits
-    else:
-        uval = int(u)
-    # Lucas: C(u, j) mod p = prod_d C(u_d, j_d) over base-p digits
-    ctab = np.zeros((p, p), dtype=np.int64)
-    for a in range(p):
-        c = 1
-        for b in range(a + 1):
-            ctab[a, b] = c % p
-            c = c * (a - b) // (b + 1)
-    js = np.arange(order, dtype=np.int64)
-    coeffs = np.ones(order, dtype=np.int64)
-    uu = uval % p**ndig
-    jd = js.copy()
-    for _ in range(ndig):
-        coeffs = coeffs * ctab[uu % p, jd % p] % p
-        uu //= p
-        jd //= p
+        u = u.value
+    P = pascal_size(p, order)
+    y = np.zeros((P, 1), dtype=np.int64)
+    y[int(u) % P] = 1
     rows = np.zeros((order, field.m), dtype=np.int64)
-    rows[:, 0] = coeffs
+    rows[:, :1] = pascal_transform(y, p, inverse=True)[:order]
     return LaurentSeries(field, 0, order, rows)
 
 

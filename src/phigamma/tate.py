@@ -2,17 +2,20 @@
 
 phi rotates the S-indexed components and substitutes pi -> pi^p (freshman's
 dream in characteristic p); gamma in Gamma substitutes pi -> (1+pi)^chi(gamma) - 1
-componentwise.  Substitution on the non-negative part goes through the basis
-y = 1 + pi via two Lucas binomial matrices; negative exponents use a cached
-ladder of powers of gamma(pi).  All caches are keyed globally so contexts with
-equal parameters share them.
+componentwise.  Substitution is one path: a pole is cleared by a power K = p^k
+of Frobenius, gamma(s) = gamma(pi)^(-K) gamma(pi^K s), where gamma(pi)^(-K)
+has the F_p coefficients of 1/gamma(pi) spread K apart; the power series
+pi^K s goes to the basis y = 1 + pi by a digit-wise Pascal (Lucas) transform,
+gamma permutes y^k -> y^(chi k mod p^N), and the inverse transform comes back.
+The caches (the head of 1/gamma(pi), lambda_gamma and its powers) are at most
+O(M) series keyed globally, so contexts with equal parameters share them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .field import Field, FieldElement
-from .series import INF, LaurentSeries, PadicInteger, nth_root_unit, one_plus_pi_pow
+from .series import INF, LaurentSeries, PadicInteger, PrecisionError, nth_root_unit, one_plus_pi_pow, pascal_size, pascal_transform
 
 
 class NonBijectiveError(ArithmeticError):
@@ -143,22 +146,14 @@ class TateElement:
 
 _REGISTRY = {}
 
+# A pole is cleared by a power K = p^k >= order / _POLE_STEPS of Frobenius.
+_POLE_STEPS = 8
+
 
 def _cache(key, build):
     if key not in _REGISTRY:
         _REGISTRY[key] = build()
     return _REGISTRY[key]
-
-
-class _Ladder:
-    """Dense table of gamma(pi^n) coefficients for n in [-depth, 0)."""
-
-    def __init__(self):
-        self.series = {}  # n -> LaurentSeries
-        self.depth = 0
-        self.mat = None  # int8 (depth, span); row r = coefficients of gamma(pi^(-1-r))
-        self.mat_lo = 0  # column 0 corresponds to exponent mat_lo
-        self.orders = None
 
 
 class Context:
@@ -224,103 +219,29 @@ class Context:
     def gamma_from_chi(self, chi_int: int, name="") -> GammaElement:
         return GammaElement(self.p, chi_int, self.ndigits, name)
 
+    def generators(self):
+        """The stored generators of Gamma by name: eta, and xi when p = 2."""
+        return [("eta", self.eta)] + ([("xi", self.xi)] if self.p == 2 else [])
+
     # -- gamma action -------------------------------------------------------------
-    def _w(self, gamma: GammaElement) -> LaurentSeries:
-        """gamma(pi) = (1+pi)^chi - 1, known to a generous window."""
-        span = self.M + 2 - self.L
+    def _winv(self, gamma: GammaElement) -> np.ndarray:
+        """The F_p coefficients of 1/gamma(pi) on exponents [-1, _POLE_STEPS)."""
 
         def build():
-            return one_plus_pi_pow(self.field, gamma.chi_int % self.p**self.ndigits, span) - 1
+            w = one_plus_pi_pow(self.field, gamma.chi_int, _POLE_STEPS + 2) - 1
+            return w.inv_unit().coeff_rows(-1, _POLE_STEPS)[:, 0]
 
-        return _cache((self.field.key, span, gamma.chi_int, "w"), build)
-
-    def _ladder(self, gamma: GammaElement) -> _Ladder:
-        return _cache((self.field.key, self.M, self.L, gamma.chi_int, "ladder"), _Ladder)
-
-    def _extend_ladder(self, gamma: GammaElement, depth: int) -> _Ladder:
-        lad = self._ladder(gamma)
-        if lad.depth >= depth:
-            return lad
-        w = self._w(gamma)
-        if lad.depth == 0:
-            lad.series[-1] = w.inv_unit()
-            lad.depth = 1
-        winv = lad.series[-1]
-        cur = lad.series[-lad.depth]
-        for n in range(-lad.depth - 1, -depth - 1, -1):
-            cur = cur * winv
-            lad.series[n] = cur
-        lad.depth = depth
-        lad.mat = None
-        return lad
-
-    def _ladder_matrix(self, gamma: GammaElement, depth: int):
-        """(depth, span) int8 matrix of gamma(pi^(-1-r)) on exponents [mat_lo, M)."""
-        lad = self._extend_ladder(gamma, depth)
-        if lad.mat is None or lad.mat.shape[0] < depth:
-            lo = -lad.depth
-            span = self.M - lo
-            mat = np.zeros((lad.depth, span), dtype=np.int8)
-            orders = np.zeros(lad.depth, dtype=np.int64)
-            for r in range(lad.depth):
-                s = lad.series[-1 - r]
-                hi = int(min(self.M, s.order))
-                mat[r, : hi - lo] = s.coeff_rows(lo, hi)[:, 0]
-                orders[r] = hi
-            lad.mat, lad.mat_lo, lad.orders = mat, lo, orders
-        return lad
-
-    def gamma_pi_pow(self, gamma: GammaElement, n: int) -> LaurentSeries:
-        """gamma(pi^n) for any integer n."""
-        if n == 0:
-            return self.one_series()
-        if n > 0:
-            return self._w(gamma).pow(n, self.M + n)
-        lad = self._extend_ladder(gamma, -n)
-        return lad.series[n]
-
-    def _head_matrices(self, gamma: GammaElement):
-        """Lucas matrices M1[k,n] = (-1)^(n-k) C(n,k), M2T[j,k] = C(chi k, j) on [0, M)."""
-        S = self.M
-        p = self.p
-
-        def build():
-            ctab = np.zeros((p, p), dtype=np.int64)
-            for a in range(p):
-                c = 1
-                for b in range(a + 1):
-                    ctab[a, b] = c % p
-                    c = c * (a - b) // (b + 1)
-            ndig = 1
-            while p**ndig < S + 1:
-                ndig += 1
-            ndig += 1
-
-            def lucas(avals, jvals):
-                a = np.broadcast_to(avals, (jvals.shape[0], avals.shape[0])).copy()
-                j = np.broadcast_to(jvals[:, None], (jvals.shape[0], avals.shape[0])).copy()
-                out = np.ones_like(a)
-                for _ in range(ndig):
-                    out = out * ctab[a % p, j % p] % p
-                    a //= p
-                    j //= p
-                return out
-
-            ns = np.arange(S, dtype=np.int64)
-            m1 = lucas(ns, ns)  # m1[k, n] = C(n, k)
-            if p > 2:
-                sign = np.where((ns[None, :] - ns[:, None]) % 2 == 1, p - 1, 1)
-                m1 = m1 * sign % p
-            m1 = np.where(ns[:, None] <= ns[None, :], m1, 0)
-            chimod = p**ndig
-            avals = (gamma.chi_int % chimod) * ns % chimod
-            m2t = lucas(avals, ns)  # m2t[j, k] = C(chi k, j)
-            return m1.astype(np.int8), m2t.astype(np.int8)
-
-        return _cache((self.field.key, S, gamma.chi_int, "headmats"), build)
+        return _cache((self.field.key, gamma.chi_int, "winv"), build)
 
     def gamma_act_series(self, gamma: GammaElement, s: LaurentSeries, out_order=None) -> LaurentSeries:
-        """Substitute pi -> gamma(pi) in one Laurent series."""
+        """Substitute pi -> gamma(pi) in one Laurent series.
+
+        A pole of order up to K = p^k is cleared first: by Frobenius
+        gamma(s) = gamma(pi)^(-K) gamma(pi^K s) with gamma(pi)^(-K) =
+        sum_t winv_t pi^(tK).  The power series pi^K s goes to the basis
+        y^k, y = 1 + pi, where gamma is the permutation y^k -> y^(chi k mod
+        p^N) (exact below pi^(p^N), as y^(p^N) = 1 + pi^(p^N)), and back.
+        K >= order / _POLE_STEPS keeps the final product to a few shifts."""
         order = min(s.order, self.M)
         if out_order is not None:
             order = min(order, out_order)
@@ -328,41 +249,34 @@ class Context:
             return LaurentSeries.zero(self.field, order)
         if gamma.chi_int == 1:
             return s.truncate(order)
-        if s.floor + len(s.rows) > self.M:
-            s = s.truncate(self.M)
-            if s.is_zero():
-                return LaurentSeries.zero(self.field, order)
+        p = self.p
+        K = 0
+        if s.floor < 0:
+            if s.order < 0:
+                raise PrecisionError("a pole series needs its coefficients up to pi^0")
+            # a pole of depth d is claimed to M - L + 1 - d; coboundary windows downstream are sized by it
+            order = min(order, self.M - self.L + 1 + s.floor)
+            K = 1
+            while K < -s.floor or _POLE_STEPS * K < order:
+                K *= p
         order = int(order)
-        m = self.field.m
-        parts = []
-        lo = s.low
-        if lo < 0:
-            depth = -lo
-            lad = self._ladder_matrix(gamma, depth)
-            tail = s.coeff_rows(lo, 0)  # (depth', m)
-            rows_idx = np.arange(-1, lo - 1, -1)  # exponents -1, -2, ..., lo
-            weights = tail[::-1]  # row r corresponds to exponent -1-r
-            used = weights.any(axis=1)
-            if used.any():
-                order = int(min(order, int(lad.orders[: depth][used].min())))
-                sub = lad.mat[:depth]
-                out_lo = lad.mat_lo
-                ncols = order - out_lo
-                acc = sub[:, :ncols].T.astype(np.int64) @ weights.astype(np.int64) % self.p
-                parts.append(LaurentSeries(self.field, out_lo, order, acc))
-        head_hi = min(s.floor + len(s.rows), self.M)
-        if head_hi > 0:
-            m1, m2t = self._head_matrices(gamma)
-            head = s.coeff_rows(0, head_hi)
-            if head.any():
-                g = m1[:, :head_hi].astype(np.int64) @ head % self.p
-                res = m2t[:order if order > 0 else 0].astype(np.int64) @ g % self.p
-                if order > 0:
-                    parts.append(LaurentSeries(self.field, 0, order, res))
-        out = LaurentSeries.zero(self.field, order)
-        for part in parts:
-            out = out + part
-        return out
+        if order <= s.floor:
+            return LaurentSeries.zero(self.field, order)
+        R = order + K
+        P = pascal_size(p, R)
+        x = np.zeros((P, self.m), dtype=np.int64)
+        x[:R] = s.coeff_rows(-K, order)
+        y = pascal_transform(x, p)
+        z = np.empty_like(y)
+        z[np.arange(P) * (gamma.chi_int % P) % P] = y
+        g = pascal_transform(z, p, inverse=True)[:R]
+        if K:
+            acc = np.zeros_like(g)
+            for t, c in enumerate(self._winv(gamma)):
+                if c and t * K < R:
+                    acc[t * K :] += c * g[: R - t * K]
+            g = acc % p
+        return LaurentSeries(self.field, -K, order, g)
 
     def gamma_act(self, gamma: GammaElement, x: TateElement, out_order=None) -> TateElement:
         return TateElement(self, [self.gamma_act_series(gamma, c, out_order) for c in x.comps])
@@ -379,7 +293,8 @@ class Context:
             if gamma.chi_int == 1:
                 return self.one_series(self.M)
             chibar = self.field.coerce(gamma.chi_int)
-            u = self._w(gamma).shift(-1).scale(chibar.inv()).truncate(self.M)
+            w = one_plus_pi_pow(self.field, gamma.chi_int, self.M + 1) - 1  # gamma(pi)
+            u = w.shift(-1).scale(chibar.inv())
             return nth_root_unit(u, self.d_root, self.M)
 
         return _cache((self.field.key, self.M, self.f, gamma.chi_int, "lambda"), build)
@@ -437,10 +352,11 @@ def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSer
     return _solve_c_phi_minus_one(ctx, C, h, order)
 
 
-def _solve_c_phi_minus_one(ctx: Context, C: FieldElement, h: LaurentSeries, order: int) -> LaurentSeries:
-    """Recursion for (C Phi - 1) g = h on F[[pi]]; for C = 1 solves in pi F[[pi]]."""
+def _solve_c_phi_minus_one(ctx: Context, C: FieldElement, h: LaurentSeries, order: int, q: int = None) -> LaurentSeries:
+    """Recursion for C g(pi^q) - g = h on F[[pi]] (q = p^f by default); for C = 1
+    solves in pi F[[pi]]."""
     field = ctx.field
-    q = ctx.p**ctx.f
+    q = q or ctx.p**ctx.f
     rows = h.coeff_rows(0, order)
     out = np.zeros_like(rows)
     one = field.one()
@@ -460,9 +376,10 @@ def _solve_c_phi_minus_one(ctx: Context, C: FieldElement, h: LaurentSeries, orde
     return LaurentSeries(field, 0, order, out)
 
 
-def solve_phi_unit_tail(ctx: Context, h: LaurentSeries) -> LaurentSeries:
-    """Unique g in pi F[[pi]] with (Phi - 1) g = h, for h in pi F[[pi]] (used in the
-    trivial-character constructions where the full operator is not bijective)."""
+def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> LaurentSeries:
+    """Unique g in pi F[[pi]] with g(pi^q) - g = h (q = p^f by default), for h in
+    pi F[[pi]] (used in the trivial-character constructions where the full
+    operator is not bijective)."""
     if not h.is_zero() and h.val() < 1:
         raise ValueError("h must lie in pi F[[pi]]")
-    return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)))
+    return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)), q)

@@ -387,12 +387,11 @@ def build_wach_rank1(pctx: PadicContext, Ctilde, c) -> WachRankOne:
         Ctilde = np.asarray(Ctilde, dtype=np.int64) % pctx.ring.pN
     if not pctx.ctx.field.from_row(Ctilde % p):
         raise ValueError("Ctilde must be a unit")
-    gens = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if p == 2 else [])
     g_table = {}
     cut_max = 0
     order = pctx.M
     q = pctx.q_series(order)
-    for name, gamma in gens:
+    for name, gamma in ctx.generators():
         lam, cut = big_lambda_gamma(pctx, gamma, order)
         cut_max = max(cut_max, cut)
         g0 = PadicSeries.one(pctx.ring, order)
@@ -451,8 +450,7 @@ def reduce_mod_p(N: WachRankOne) -> ReductionReport:
     qok = qbar.agrees_with(LaurentSeries.monomial(field, p - 1), p - 1, pctx.M - 1)
     details.append(("q = pi^(p-1) mod p", qok))
     ok = ok and qok
-    gens = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if p == 2 else [])
-    for name, gamma in gens:
+    for name, gamma in ctx.generators():
         for i in range(f):
             gbar = N.g_table[name][i].reduce_mod_p(field)
             lam = ctx.lambda_pow(gamma, module.sigma(i))
@@ -593,8 +591,7 @@ def example71(pctx: PadicContext) -> tuple:
     P = [[[q.pow(p - 1, order)], [zero]], [[zero], [one]]]
     G = {}
     ctx = pctx.ctx
-    gens = [("eta", ctx.eta)] + ([("xi", ctx.xi)] if p == 2 else [])
-    for name, gamma in gens:
+    for name, gamma in ctx.generators():
         w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(ring, order + 1)).shift(-1)
         u = (w.truncate(order).scale_row(ring.unit_inv_scalar(np.array([gamma.chi_int % ring.pN] + [0] * (ring.m - 1))))).pow(
             p - 1, order

@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import phigamma
+
+# the child interpreter imports the same phigamma as this one
+SRC = str(Path(phigamma.__file__).resolve().parents[1])
 
 
 def run_cli(args, config=None, check=True):
     cmd = [sys.executable, "-m", "phigamma.cli"] + args
-    r = subprocess.run(cmd, input=json.dumps(config) if config is not None else "", capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run(cmd, input=json.dumps(config) if config is not None else "", capture_output=True, text=True, env=env)
     return r
 
 
@@ -43,6 +52,39 @@ def test_config_errors():
     assert r.returncode == 2
     r = run_cli(["verify", "--lemma", "bogus"], {"p": 3, "f": 1})
     assert r.returncode == 2
+
+
+GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(GOOD, precision={"pi_order": -5}),
+        dict(GOOD, precision={"tail_floor": 5}),
+        dict(GOOD, precision=7),
+        dict(GOOD, f=0),
+        dict(GOOD, c=["x"]),
+        dict(GOOD, C="x"),
+        dict(GOOD, chi_eta=3),
+    ],
+    ids=["pi_order<0", "tail_floor>0", "precision-not-object", "f=0", "c-not-int", "C-not-element", "chi_eta-not-unit"],
+)
+def test_malformed_config_exits_2_with_json_error(cfg):
+    r = run_cli(["classify"], cfg)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "error" in json.loads(r.stderr)
+
+
+def test_verify_exits_5_when_a_lemma_fails(tmp_path, monkeypatch, capsys):
+    from phigamma import cli, oracle
+
+    monkeypatch.setattr(oracle, "verify_lemma", lambda ctx, name, **params: oracle.LemmaReport(name, params, False, "forced"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": 3, "f": 1}))
+    assert cli.main(["--config", str(path), "verify", "--lemma", "gamma_n"]) == cli.EXIT_LEMMA_FAILED == 5
+    assert json.loads(capsys.readouterr().out)["failures"] > 0
 
 
 def test_vj_table_output():

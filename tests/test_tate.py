@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
-from phigamma import LaurentSeries, NonBijectiveError, solve_phi_minus_one
-from phigamma.series import one_plus_pi_pow
+from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
+from phigamma.series import INF, one_plus_pi_pow
 
 from conftest import ctx_for
 
@@ -142,3 +143,50 @@ def test_gamma_element_level():
     assert ctx_for(3, 1).gamma_from_chi(2).level == 0
     assert ctx_for(2, 1).eta.level == 1
     assert ctx_for(2, 1).xi.level == 2
+
+
+def gamma_pi_by_comb(ctx, chi, order):
+    """gamma(pi) = sum_j C(chi, j) pi^j below pi^order, with exact integer binomials
+    (chi reduced mod p^D >= order, as (1 + pi)^(p^D) = 1 + pi^(p^D))."""
+    p, D = ctx.p, 1
+    while p**D < order:
+        D += 1
+    u = chi % p**D
+    return LaurentSeries.from_pairs(ctx.field, {j: math.comb(u, j) % p for j in range(1, order)}, order)
+
+
+@pytest.mark.parametrize("p,f,m", [(2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 3), (5, 2, 2)])
+def test_gamma_act_matches_direct_composition(p, f, m):
+    """gamma_act_series against sum_n a_n gamma(pi)^n, negative powers through inv_unit."""
+    ctx = ctx_for(p, f, m)
+    rng = random.Random(1000 * p + 10 * f + m)
+    M, L = ctx.M, ctx.L
+    gammas = [ctx.eta, ctx.xi, ctx.eta**-1, ctx.eta**3] + ([ctx.gamma_from_chi(-1)] if p == 2 else [])
+    work = M - L + 10
+    for gamma in gammas:
+        w = gamma_pi_by_comb(ctx, gamma.chi_int, work)
+        winv = w.inv_unit()
+        for _ in range(8):
+            floor = rng.choice([rng.randrange(L, 0), rng.randrange(0, M), rng.randrange(2 * L - 5, L - 1)])
+            exps = {floor} | {rng.randrange(floor, M + 5) for _ in range(6)}
+            s_order = rng.choice([INF, M + 7, rng.randrange(max(floor, 0) + 1, M + 1)])
+            s = LaurentSeries.from_pairs(ctx.field, {e: ctx.field.random_element(rng, nonzero=True) for e in exps}, s_order)
+            out_order = rng.choice([None, rng.randrange(floor + 1, M + 3), floor])
+            got = ctx.gamma_act_series(gamma, s, out_order)
+            claimed = min(s.order, M)
+            if out_order is not None:
+                claimed = min(claimed, out_order)
+            if floor < 0:
+                claimed = min(claimed, M - L + 1 + floor)
+            assert got.order == claimed
+            expect = ctx.zero_series(work)
+            for e, a in s.items():
+                if e < claimed:
+                    power = w.pow(e, work) if e >= 0 else winv.pow(-e, work)
+                    expect = expect + power.scale(a)
+            assert expect.order >= claimed
+            want = expect.truncate(claimed)
+            assert (got.low, got.order) == (want.low, want.order)
+            assert got.agrees_with(want)
+    with pytest.raises(PrecisionError):  # a pole series known only below pi^0
+        ctx.gamma_act_series(ctx.eta, LaurentSeries.from_pairs(ctx.field, {L - 1: 1, -1: 1}, -1))
