@@ -5,7 +5,10 @@ twist iota by kappa_phi(1,a) <c>_J, some cohomologous representative has
 mu'_phi in F[[pi]]^S and mu'_xi in pi F[[pi]]^S (both generators for p = 2).
 Feasibility is a finite linear problem: coefficients of the correcting
 coboundary below the thresholds transport deterministically, and the few free
-block coefficients become unknowns of a small system over F.
+block coefficients become unknowns of a small system over F.  The matrix of
+the system, one column per cocycle and per unknown, is built in one batched
+pass: one ``tate.phi_transport`` solve for all columns, the phi rows gathered
+by index arrays, and the generator rows through one batched gamma action.
 """
 from __future__ import annotations
 
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import LaurentSeries, PrecisionError
-from .tate import TateElement
+from .series import PrecisionError
+from .tate import TateElement, phi_transport
 from .rankone import RankOneModule, WeightProfile, twist_exponents, weight_profiles
 from .cocycle import Cocycle, basis_for
 from .gflinalg import gf
@@ -82,144 +85,66 @@ class BoundedSystem:
         self.params = [(i, n) for i in range(f) for n in range(self.theta_phi[i], ub[i])]
         one = ctx.field.one()
         self.Ci = [module.C if i == 0 else one for i in range(f)]
-        q1 = p**f - 1
-        sig = module.sigmas()
-        self.cyclic = all((p - 1) * s % q1 == 0 for s in sig)
-        self.estar = tuple(-(p - 1) * s // q1 for s in sig) if self.cyclic else None
-        self.cycle_transported = self.cyclic and all(self.estar[i] < self.theta_phi[i] for i in range(f))
+        self.estar = module.fixed_cycle()
+        self.cycle_transported = self.estar is not None and all(self.estar[i] < self.theta_phi[i] for i in range(f))
         self.has_cycle_slot = self.cycle_transported and module.C == one
         self.phi_lo = p * self.Lb - max(shifts) - 1
         self.gen_lo = self.Lb
 
-    # -- one evaluation of all residual functionals -----------------------------
-    def _transport(self, ephi_coeff, param_vec):
-        """Values b_i[e] on [Lb, Ub_i) of the transported coboundary coefficients."""
+    def run(self, cocycles=()) -> np.ndarray:
+        """The residual matrix, one column per cocycle E (E plus the zero
+        coboundary) then one per parameter (a unit coefficient), built in one
+        batched pass: one transport, the phi rows gathered by index arrays and
+        the generator rows through one batched gamma action."""
         ctx = self.ctx
-        field = ctx.field
-        f, p = ctx.f, ctx.p
-        memo = {}
-        cycle_violation = field.zero()
-        if self.cycle_transported:
-            one = field.one()
-            hvals = [-ephi_coeff(i, self.estar[i]) for i in range(f)]
-            acc = field.zero()
-            pref = one
+        field, G = ctx.field, self.G
+        f, p, m = ctx.f, ctx.p, field.m
+        if max(self.Ub) > ctx.M:
+            raise PrecisionError("window order %d is below the system thresholds" % ctx.M)
+        E = list(cocycles)
+        nE, B = len(E), len(E) + len(self.params)
+        # the transport window [lo, hi) holds every parameter and every source of a node in it
+        lo, hi, Lb = min(self.Lb, 1 - p, *self.theta_phi), max(self.Ub), self.Lb
+        h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
+        for k, c in enumerate(E):
             for i in range(f):
-                acc = acc + pref * hvals[i]
-                pref = pref * self.Ci[i]
-            if self.module.C == one:
-                cycle_violation = acc
-                u0 = field.zero()
-            else:
-                u0 = acc / (self.module.C - one)
-            u = [None] * f
-            u[0] = u0
-            for i in range(f - 1):
-                u[i + 1] = (u[i] + hvals[i]) / self.Ci[i]
-            for i in range(f):
-                memo[(i, self.estar[i])] = u[i]
-
-        def bval(i, e):
-            if e >= self.Ub[i]:
-                return field.zero()
-            if e >= self.theta_phi[i]:
-                return param_vec.get((i, e), field.zero())
-            key = (i, e)
-            if key in memo:
-                return memo[key]
-            stack = [key]
-            while stack:
-                i2, e2 = stack[-1]
-                if (i2, e2) in memo:
-                    stack.pop()
-                    continue
-                if e2 >= self.theta_phi[i2]:
-                    memo[(i2, e2)] = param_vec.get((i2, e2), field.zero()) if e2 < self.Ub[i2] else field.zero()
-                    stack.pop()
-                    continue
-                src_num = e2 - self.shifts[i2]
-                nxt = (i2 + 1) % f
-                if src_num % p != 0:
-                    memo[(i2, e2)] = ephi_coeff(i2, e2)
-                    stack.pop()
-                    continue
-                src = src_num // p
-                if src >= self.Ub[nxt]:
-                    memo[(i2, e2)] = ephi_coeff(i2, e2)
-                    stack.pop()
-                    continue
-                if src >= self.theta_phi[nxt]:
-                    memo[(i2, e2)] = ephi_coeff(i2, e2) + self.Ci[i2] * param_vec.get((nxt, src), field.zero())
-                    stack.pop()
-                    continue
-                if (nxt, src) in memo:
-                    memo[(i2, e2)] = ephi_coeff(i2, e2) + self.Ci[i2] * memo[(nxt, src)]
-                    stack.pop()
-                else:
-                    stack.append((nxt, src))
-            return memo[key]
-
-        return bval, cycle_violation
-
-    def run(self, E: Cocycle = None, param_index: int = None) -> np.ndarray:
-        """Residual vector for E plus the parametrized coboundary; linear in both."""
-        ctx = self.ctx
-        field = ctx.field
-        f, p = ctx.f, ctx.p
-        zero = field.zero()
-        if E is not None:
-            ephi = [E.mu_phi[i] for i in range(f)]
-            mu_of = {"eta": (E.mu_gen.get("eta") if "eta" in E.mu_gen else None), "xi": None}
-            mu_of["xi"] = E.mu_gen["xi"] if "xi" in E.mu_gen else E.mu_xi()
-
-            def ephi_coeff(i, e):
-                return ephi[i].coeff(e)
-
-        else:
-
-            def ephi_coeff(i, e):
-                return zero
-
-            mu_of = {"eta": None, "xi": None}
-        pv = {}
-        if param_index is not None:
-            pv[self.params[param_index]] = field.one()
-        bval, violation = self._transport(ephi_coeff, pv)
-        # materialize b as series
-        lo = self.Lb
-        bseries = []
+                h[i, : max(self.theta_phi[i] - lo, 0), :, k] = -c.mu_phi[i].coeff_rows(lo, self.theta_phi[i]) % p
+        if self.params:
+            comp, e = np.array(self.params).T
+            h[comp, e - lo, 0, nE + np.arange(len(self.params))] = p - 1
+        b, obstruction = phi_transport(field, p, self.shifts, self.Ci, lo, hi, h, free=self.theta_phi)
+        del h
+        b[:, : Lb - lo] = 0  # the coboundary is b on [Lb, Ub)
+        # the matrix, filled block by block: phi rows on [phi_lo, theta_phi_i), the
+        # cycle obstruction slot, generator rows on [gen_lo, theta_gen_i)
+        gens = [(name, i, self.theta_gen[name][i]) for name in self.gen_names for i in range(f)]
+        heights = [t - self.phi_lo for t in self.theta_phi] + [1] * self.has_cycle_slot + [t - self.gen_lo for _, _, t in gens]
+        heights = [max(n, 0) for n in heights]
+        out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
+        blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
         for i in range(f):
-            hi = max(self.Ub[i], lo)
-            rows = np.zeros((hi - lo, field.m), dtype=np.int64)
-            for e in range(lo, hi):
-                v = bval(i, e)
-                if v:
-                    rows[e - lo] = v.row()
-            bseries.append(LaurentSeries(field, lo, ctx.M, rows))
-        pieces = []
-        # phi rows on [phi_lo, theta_phi_i)
-        for i in range(f):
-            term = bseries[(i + 1) % f].substitute_power(p).shift(self.shifts[i]).scale(self.Ci[i]) - bseries[i]
-            if E is not None:
-                term = term + ephi[i]
-            hi_i = self.theta_phi[i]
-            rows = term.coeff_rows(self.phi_lo, hi_i)
-            pieces.append(self.G.encode_rows(rows))
-        # cycle obstruction slot
+            rows = next(blocks)
+            e = np.arange(self.phi_lo, self.theta_phi[i])
+            num = e - self.shifts[i]
+            src = num // p
+            ok = (num % p == 0) & (src >= lo) & (src < hi)
+            own = e >= lo
+            rows[ok] = G.encode_rows(field.mul_matrix(self.Ci[i]) @ b[(i + 1) % f, src[ok] - lo])
+            rows[own] = G.sub(rows[own], G.encode_rows(b[i, e[own] - lo]))
+            for k, c in enumerate(E):
+                rows[:, k] = G.add(rows[:, k], G.encode_rows(c.mu_phi[i].coeff_rows(self.phi_lo, self.theta_phi[i])))
         if self.has_cycle_slot:
-            pieces.append(np.array([violation.index()], dtype=np.int64))
-        # generator rows on [gen_lo, theta_gen_i)
-        for name in self.gen_names:
+            next(blocks)[:] = G.encode_rows(obstruction[None])
+        for name, i, theta in gens:
+            rows = next(blocks)
+            if theta <= Lb:
+                continue
             gamma = ctx.eta if name == "eta" else ctx.xi
-            for i in range(f):
-                sig = self.module.sigma(i)
-                theta = self.theta_gen[name][i]
-                img = ctx.op_lambda_gamma(gamma, sig, bseries[i], out_order=theta)
-                if E is not None:
-                    img = img + mu_of[name].comps[i]
-                rows = img.coeff_rows(self.gen_lo, theta)
-                pieces.append(self.G.encode_rows(rows))
-        return np.concatenate(pieces)
+            img = ctx.op_lambda_gamma_rows(gamma, self.module.sigma(i), b[i, Lb - lo : theta - lo], Lb, theta)
+            for k, c in enumerate(E):
+                img[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(self.gen_lo, theta)
+            rows[:] = G.encode_rows(img)
+        return out
 
     def n_params(self) -> int:
         return len(self.params)
@@ -230,11 +155,10 @@ def is_bounded_class(twisted: TwistedCocycle, strict_p2: bool = False) -> str:
     module = twisted.base.module
     try:
         sys_ = BoundedSystem(module, twisted.profile, strict_p2)
-        target = sys_.run(E=twisted.base)
-        cols = [sys_.run(param_index=j) for j in range(sys_.n_params())]
-        if not cols:
+        A = sys_.run([twisted.base])
+        target, A = A[:, 0], A[:, 1:]
+        if not A.shape[1]:
             return "yes" if not target.any() else "no"
-        A = np.stack(cols, axis=1)
         mask = A.any(axis=1) | (target != 0)
         sol, _ = sys_.G.solve(A[mask], target[mask])
         return "yes" if sol is not None else "no"
@@ -263,12 +187,11 @@ def _vj_span(module: RankOneModule, prof: WeightProfile, strict_p2=False):
     basis = basis_for(module)
     sys_ = BoundedSystem(module, prof, strict_p2)
     G = sys_.G
-    cols = [sys_.run(E=B) for B in basis.elements]
-    cols += [sys_.run(param_index=j) for j in range(sys_.n_params())]
-    A = np.stack(cols, axis=1)
+    A = sys_.run(basis.elements)
+    ncols = A.shape[1]
     A = A[A.any(axis=1)]
     if A.shape[0] == 0:
-        null = np.eye(len(cols), dtype=np.int64)
+        null = np.eye(ncols, dtype=np.int64)
     else:
         null = G.nullspace(A)
     d = len(basis)

@@ -58,20 +58,18 @@ def build_context(cfg: dict, scale: int = 1):
     prec = cfg.get("precision", {})
     if not isinstance(prec, dict):
         raise ConfigError("'precision' must be an object")
-    pi_order = prec.get("pi_order")
-    tail_floor = prec.get("tail_floor")
     try:
         m = int(cfg.get("m", f))
         modulus = tuple(cfg["modulus"]) if "modulus" in cfg else default_modulus(p, m)
         field = make_field(FieldSpec(p, f, m, modulus))
         ctx = Context(
             field,
-            pi_order=scale * pi_order if pi_order else None,
-            tail_floor=scale * tail_floor if tail_floor else None,
+            pi_order=prec.get("pi_order"),
+            tail_floor=prec.get("tail_floor"),
             chi_eta=cfg.get("chi_eta"),
             padic_depth=int(prec.get("padic_depth", 3)),
         )
-        if scale != 1 and not pi_order:
+        if scale != 1:
             ctx = ctx.scaled(scale)
     except (ValueError, TypeError) as exc:  # FieldError is a ValueError
         raise ConfigError(str(exc))

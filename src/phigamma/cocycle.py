@@ -6,7 +6,9 @@ to the compatibility (dagger): (kappa_phi phi - 1)(mu_gamma) =
 words.  Basis elements B_i are built by greedy valuation elimination against
 (lambda_eta^Sigma eta - 1), with deeper rescue blocks when the elimination
 sticks at an exponent divisible by p - 1; the exceptional bases (trivial and
-cyclotomic modules) get their own constructions.
+cyclotomic modules) get their own constructions.  The coboundary test solves
+(kappa_phi phi - 1)(b) = mu_phi on a window by one ``tate.phi_transport`` call
+(``PhiTransport`` is a view of its result) and certifies the gamma residuals.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .field import FieldElement
 from .series import LaurentSeries, PrecisionError
-from .tate import Context, GammaElement, NonBijectiveError, TateElement, solve_phi_minus_one, solve_phi_unit_tail
+from .tate import Context, GammaElement, NonBijectiveError, TateElement, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
 from .gflinalg import gf
 
@@ -300,7 +302,8 @@ def _mu_gamma_from_H(module: RankOneModule, i: int, H: LaurentSeries, gamma: Gam
     G[i] = solve_phi_minus_one(ctx, module.C, sigma, L)
     k = (i - 1) % f
     while G[k] is None:
-        nxt = G[(k + 1) % f].substitute_power(p).shift((p - 1) * module.c[k])
+        # exact to p * order(G[k+1]); nothing reads a cocycle beyond the window M
+        nxt = G[(k + 1) % f].substitute_power(p).shift((p - 1) * module.c[k]).truncate(ctx.M)
         G[k] = nxt.scale(module.C) if k == 0 else nxt
         k = (k - 1) % f
     return ctx.tate(G)
@@ -473,7 +476,7 @@ def build_trivial_basis(module: RankOneModule):
         mu_phi = ctx.tate_unit_vector(i, D)
         mu_gen = {}
         for name, gamma in gens:
-            comps = [g_of[name].substitute_power(p ** ((i - k) % f)) for k in range(f)]
+            comps = [g_of[name].substitute_power(p ** ((i - k) % f)).truncate(ctx.M) for k in range(f)]
             mu_gen[name] = ctx.tate(comps)
         basis.append(Cocycle(module, mu_phi, mu_gen, "B_%d" % i))
     if p == 2:
@@ -531,14 +534,19 @@ class ModuleBasis:
         return out
 
 
-_BASIS_CACHE = {}
+_BASIS_CACHE = {}  # most recently used last
+_BASIS_CACHE_SIZE = 32  # each basis holds O(f) series of the window order M
 
 
 def basis_for(module: RankOneModule) -> ModuleBasis:
     key = (module.ctx.key, module.C.index(), module.c)
-    if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = ModuleBasis(module)
-    return _BASIS_CACHE[key]
+    basis = _BASIS_CACHE.pop(key, None)
+    if basis is None:
+        basis = ModuleBasis(module)
+    _BASIS_CACHE[key] = basis
+    while len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
+        del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -547,101 +555,50 @@ def basis_for(module: RankOneModule) -> ModuleBasis:
 
 
 class PhiTransport:
-    """Memoized exact solve of the componentwise rows
-    C_i b_{i+1}[(e - (p-1)c_i)/p] - b_i[e] = h_i[e]."""
+    """The exact solution b on a window of the componentwise rows
+    C_i b_{i+1}[(e - (p-1)c_i)/p] - b_i[e] = h_i[e], a view of one
+    ``tate.phi_transport`` solve; with a kernel (C = 1 and a fixed cycle e*) the
+    cycle carries the value t."""
 
-    def __init__(self, module: RankOneModule, h_comps, t=None):
+    def __init__(self, module: RankOneModule, h_comps, t=None, lo=0, hi=1):
         ctx = module.ctx
         self.module = module
         self.ctx = ctx
         self.h = list(h_comps)
-        self.p, self.f = ctx.p, ctx.f
-        self.shift = [(ctx.p - 1) * module.c[i] for i in range(ctx.f)]
-        one = ctx.field.one()
-        self.Ci = [module.C if i == 0 else one for i in range(ctx.f)]
-        q1 = ctx.p**ctx.f - 1
-        sig = module.sigmas()
-        self.cyclic = all((ctx.p - 1) * s % q1 == 0 for s in sig)
-        self.estar = tuple(-(ctx.p - 1) * s // q1 for s in sig) if self.cyclic else None
-        self.has_kernel = self.cyclic and module.C == one
-        self.cycle_violation = None
-        self.t = t if t is not None else ctx.field.zero()
-        self.memo = {}
-        if self.cyclic:
-            self._solve_cycle()
+        self.t = t
+        self.estar = module.fixed_cycle()
+        self.cyclic = self.estar is not None
+        self.has_kernel = self.cyclic and module.C == ctx.field.one()
+        self._solve(lo, hi)
 
-    def _solve_cycle(self):
-        field = self.ctx.field
-        one = field.one()
-        # u_i = C_i u_{i+1} - h_i[e*_i]; going around: (C - 1) u_0 = sum of prefix-weighted h values
-        hvals = [self._h(i, self.estar[i]) for i in range(self.f)]
-        acc = field.zero()
-        pref = one
-        for i in range(self.f):
-            acc = acc + pref * hvals[i]
-            pref = pref * self.Ci[i]
-        if self.has_kernel:
-            self.cycle_violation = acc
-            u0 = self.t if not acc else field.zero()
-        else:
-            u0 = acc / (self.module.C - one)
-        u = [None] * self.f
-        u[0] = u0
-        # forward: u_{i+1} = (u_i + h_i) / C_i
-        for i in range(self.f - 1):
-            u[i + 1] = (u[i] + hvals[i]) / self.Ci[i]
-        for i in range(self.f):
-            self.memo[(i, self.estar[i])] = u[i]
-
-    def _h(self, i: int, e: int) -> FieldElement:
-        return self.h[i].coeff(e)
+    def _solve(self, lo: int, hi: int):
+        """Solve on [lo, hi) widened to [1-p, 1), which makes it closed under sources."""
+        ctx, module = self.ctx, self.module
+        p, f = ctx.p, ctx.f
+        self.lo, self.hi = min(lo, 1 - p), max(hi, 1)
+        h = np.stack([c.coeff_rows(self.lo, self.hi) for c in self.h])[..., None]
+        C = [module.kappa_phi_coeff(i) for i in range(f)]
+        b, obstruction = phi_transport(ctx.field, p, [(p - 1) * c for c in module.c], C, self.lo, self.hi, h, t=self.t)
+        self.b = b[..., 0]
+        self.cycle_violation = ctx.field.from_row(obstruction[:, 0]) if self.has_kernel else None
 
     def coeff(self, i: int, e: int) -> FieldElement:
-        """The unique transported solution coefficient b_i[e] (with the cycle value
-        fixed as above)."""
-        key = (i, e)
-        if key in self.memo:
-            return self.memo[key]
-        stack = [key]
-        while stack:
-            i2, e2 = stack[-1]
-            if (i2, e2) in self.memo:
-                stack.pop()
-                continue
-            src_num = e2 - self.shift[i2]
-            nxt = (i2 + 1) % self.f
-            if src_num % self.p != 0:
-                self.memo[(i2, e2)] = -self._h(i2, e2)
-                stack.pop()
-                continue
-            src = src_num // self.p
-            if (nxt, src) in self.memo:
-                val = self.Ci[i2] * self.memo[(nxt, src)] - self._h(i2, e2)
-                self.memo[(i2, e2)] = val
-                stack.pop()
-            else:
-                stack.append((nxt, src))
-        return self.memo[key]
-
-    def min_head_order(self) -> int:
-        return int(min(min(h.order for h in self.h), self.ctx.M))
+        """The transported solution coefficient b_i[e], looked up in the solved window."""
+        if not self.lo <= e < self.hi:
+            self._solve(min(e, self.lo), max(e + 1, self.hi))
+        return self.ctx.field.from_row(self.b[i % self.ctx.f, e - self.lo])
 
     def series(self, lo: int, hi: int):
         """The solution as a tuple of windowed series on [lo, hi)."""
-        out = []
-        for i in range(self.f):
-            rows = np.zeros((hi - lo, self.ctx.field.m), dtype=np.int64)
-            for e in range(lo, hi):
-                v = self.coeff(i, e)
-                if v:
-                    rows[e - lo] = v.row()
-            out.append(LaurentSeries(self.ctx.field, lo, hi, rows))
-        return self.ctx.tate(out)
+        if lo < self.lo or hi > self.hi:
+            self._solve(min(lo, self.lo), max(hi, self.hi))
+        rows = self.b[:, lo - self.lo : hi - self.lo]
+        return self.ctx.tate([LaurentSeries(self.ctx.field, lo, hi, r) for r in rows])
 
     def kernel_vector(self) -> TateElement:
         if not self.has_kernel:
             raise ValueError("no kernel in this configuration")
-        return self.ctx.tate([self.ctx.pi(self.estar[i]) for i in range(self.f)])
+        return self.ctx.tate([self.ctx.pi(e) for e in self.estar])
 
 
 @dataclass
@@ -665,18 +622,13 @@ class TailLayout:
         fl = min(floors)
         if extra_floor is not None:
             fl = min(fl, extra_floor)
-        probe = PhiTransport(module, [ctx.zero_series(ctx.M)] * ctx.f)
-        if probe.cyclic:
-            fl = min([fl] + [e - 1 for e in probe.estar])
+        estar = module.fixed_cycle()
+        if estar is not None:
+            fl = min([fl] + [e - 1 for e in estar])
         fl = int(fl)
         band_lo = ctx.p * fl - max((ctx.p - 1) * ci for ci in module.c) - 1 if fl < 0 else 0
         res_hi = int(min(min(orders), ctx.M, max(4 * ctx.p * ctx.p, -4 * fl)))
         return cls(module, fl, band_lo, res_hi)
-
-    def slots(self):
-        f = self.module.f
-        crossing = [(i, e) for i in range(f) for e in range(self.band_lo, self.floor_ref)]
-        return crossing
 
 
 class _ResidualData:
@@ -708,21 +660,17 @@ def _residual_data(layout: TailLayout, c: Cocycle, t_probe=False) -> _ResidualDa
     module = layout.module
     ctx = module.ctx
     f = ctx.f
+    window = dict(lo=layout.band_lo, hi=layout.res_hi)
     if t_probe:
-        tr = PhiTransport(module, [ctx.zero_series(ctx.M)] * f, t=ctx.field.one())
+        tr = PhiTransport(module, [ctx.zero_series(ctx.M)] * f, t=ctx.field.one(), **window)
         if not tr.has_kernel:
             raise ValueError("no kernel to probe")
     else:
-        tr = PhiTransport(module, list(c.mu_phi.comps))
-    # crossing band: nonzero values here certify an infinite descending tail
-    cross = []
-    est = tr.estar if tr.cyclic else None
-    for i, e in layout.slots():
-        if est is not None and e == est[i]:
-            cross.append(0)
-            continue
-        cross.append(tr.coeff(i, e).index())
-    cross = np.array(cross, dtype=np.int64)
+        tr = PhiTransport(module, list(c.mu_phi.comps), **window)
+    # crossing band [band_lo, floor_ref), below the fixed cycle: nonzero values
+    # here certify an infinite descending tail
+    band = tr.b[:, layout.band_lo - tr.lo : layout.floor_ref - tr.lo]
+    cross = gf(ctx.field).encode_rows(band.reshape(-1, ctx.field.m))
     cycle = None
     if tr.has_kernel:
         cycle = tr.cycle_violation.index() if tr.cycle_violation is not None else 0
@@ -742,7 +690,7 @@ def _residual_matrix(layout: TailLayout, datas):
     ctx = layout.module.ctx
     G = gf(ctx.field)
     hi = min([layout.res_hi] + [d.min_order for d in datas if d.min_order is not None])
-    est = PhiTransport(layout.module, [ctx.zero_series(ctx.M)] * ctx.f).estar
+    est = layout.module.fixed_cycle()
     needed = 1 + max([1] + ([e for e in est] if est else []))
     if hi < needed:
         raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (layout.floor_ref, hi))
@@ -772,8 +720,8 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
     try:
         layout = TailLayout.for_cocycles(module, [c], extra_floor=floor)
         data = _residual_data(layout, c)
-        tr = PhiTransport(module, list(c.mu_phi.comps))
-        if tr.has_kernel:
+        t = None
+        if data.cycle is not None:  # a kernel line: fit its parameter t
             kdata = _residual_data(layout, c, t_probe=True)
             A, hi = _residual_matrix(layout, [data, kdata])
             target, kcol = A[:, 0], A[:, 1]
@@ -781,16 +729,14 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
             if sol is None:
                 return CoboundaryResult("no", reason="residual outside the kernel line", checked_to=hi)
             t = ctx.field.from_index(int(sol[0]))
-            tr2 = PhiTransport(module, list(c.mu_phi.comps), t=t)
-            if tr2.cycle_violation is not None and tr2.cycle_violation:
-                return CoboundaryResult("no", reason="cycle obstruction", checked_to=hi)
-            b = tr2.series(layout.floor_ref, hi)
-            return CoboundaryResult("yes", witness=b, checked_to=hi)
-        A, hi = _residual_matrix(layout, [data])
-        if A.any():
-            return CoboundaryResult("no", reason="nonzero residual functional", checked_to=hi)
-        b = tr.series(layout.floor_ref, hi)
-        return CoboundaryResult("yes", witness=b, checked_to=hi)
+        else:
+            A, hi = _residual_matrix(layout, [data])
+            if A.any():
+                return CoboundaryResult("no", reason="nonzero residual functional", checked_to=hi)
+        tr = PhiTransport(module, list(c.mu_phi.comps), t=t, lo=layout.floor_ref, hi=hi)
+        if tr.cycle_violation:
+            return CoboundaryResult("no", reason="cycle obstruction", checked_to=hi)
+        return CoboundaryResult("yes", witness=tr.series(layout.floor_ref, hi), checked_to=hi)
     except PrecisionError as exc:
         return CoboundaryResult("inconclusive", reason=str(exc))
 
@@ -806,7 +752,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     key = (layout.floor_ref, layout.band_lo, layout.res_hi)
     if key not in basis._residual_cache:
         datas = [_residual_data(layout, B) for B in basis.elements]
-        if PhiTransport(module, [ctx.zero_series(ctx.M)] * ctx.f).has_kernel:
+        if datas[0].cycle is not None:  # the module has a kernel line
             datas.append(_residual_data(layout, basis.elements[0], t_probe=True))
         basis._residual_cache[key] = datas
     datas = basis._residual_cache[key]

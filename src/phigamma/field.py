@@ -286,6 +286,16 @@ class Field:
                     acc[:, i + j] += np.convolve(col_a, col_b)
         return (acc % self.p) @ self._red % self.p
 
+    def mul_matrix(self, c) -> np.ndarray:
+        """The m x m F_p matrix of x -> c x on coefficient columns:
+        mul_matrix(c) @ x.row() = (c x).row() mod p."""
+        c = self.coerce(c)
+        m = self.m
+        shifted = np.zeros((m, 2 * m - 1), dtype=np.int64)
+        for j in range(m):
+            shifted[j, j : j + m] = c.coeffs  # c x^j before reduction
+        return (shifted @ self._red % self.p).T
+
     # -- structure ------------------------------------------------------------
     def generator(self) -> FieldElement:
         """Smallest element (by index encoding) of multiplicative order q - 1."""

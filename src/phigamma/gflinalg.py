@@ -48,9 +48,11 @@ class GF:
         self.LOG = log
 
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(n, m) coefficient rows -> (n,) encoded indices."""
+        """(n, m, ...) coefficient rows -> (n, ...) encoded indices."""
+        rows = np.asarray(rows, dtype=np.int64) % self.p
         pows = self.p ** np.arange(self.m)
-        return (np.asarray(rows, dtype=np.int64) % self.p) @ pows
+        batch = rows.shape[2:]
+        return (pows @ rows.reshape(len(rows), self.m, int(np.prod(batch)))).reshape(rows.shape[:1] + batch)
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
         return self._digits[np.asarray(idx, dtype=np.int64)]

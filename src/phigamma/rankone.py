@@ -49,6 +49,14 @@ class RankOneModule:
     def sigmas(self):
         return tuple(self.sigma(l) for l in range(self.f))
 
+    def fixed_cycle(self):
+        """The exponents e*_i = -(p-1) Sigma_i / (p^f - 1) of the phi-transport's
+        fixed cycle, or None when they are not integers."""
+        p, q1 = self.p, self.p**self.f - 1
+        if any((p - 1) * s % q1 for s in self.sigmas()):
+            return None
+        return tuple(-(p - 1) * s // q1 for s in self.sigmas())
+
     def is_trivial_shape(self) -> bool:
         """C = 1 and c = 0 (the module of the trivial character)."""
         return self.C == self.ctx.field.one() and all(ci == 0 for ci in self.c)

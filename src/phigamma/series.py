@@ -96,6 +96,8 @@ class LaurentSeries:
         rows = np.asarray(rows, dtype=np.int64) % field.p
         if rows.ndim == 1:
             rows = rows.reshape(-1, field.m)
+        if self.order != INF:
+            rows = rows[: max(0, self.order - floor)]
         nz = np.flatnonzero(rows.any(axis=1))
         if nz.size == 0:
             self.floor = self.order
@@ -104,10 +106,6 @@ class LaurentSeries:
             lo, hi = int(nz[0]), int(nz[-1])
             self.floor = floor + lo
             self.rows = np.ascontiguousarray(rows[lo : hi + 1])
-        if self.floor != INF and self.order != INF and self.floor + len(self.rows) > self.order:
-            self.rows = self.rows[: max(0, self.order - self.floor)]
-            if len(self.rows) == 0 or not self.rows.any():
-                self.floor, self.rows = self.order, self.rows[:0]
 
     # -- constructors ----------------------------------------------------------
     @classmethod
@@ -218,10 +216,7 @@ class LaurentSeries:
             return LaurentSeries.zero(self.field, self.order if self.is_zero() else INF if self.order == INF else self.order)
         if self.is_zero():
             return self
-        if self.field.m == 1:
-            rows = (self.rows * int(c.coeffs[0])) % self.field.p
-        else:
-            rows = self.field.mul_rows(self.rows, c.row().reshape(1, -1))
+        rows = self.rows @ self.field.mul_matrix(c).T % self.field.p
         return LaurentSeries(self.field, self.floor, self.order, rows, _normalized=False)
 
     def __mul__(self, other):

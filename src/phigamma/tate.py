@@ -9,6 +9,8 @@ pi^K s goes to the basis y = 1 + pi by a digit-wise Pascal (Lucas) transform,
 gamma permutes y^k -> y^(chi k mod p^N), and the inverse transform comes back.
 The caches (the head of 1/gamma(pi), lambda_gamma and its powers) are at most
 O(M) series keyed globally, so contexts with equal parameters share them.
+The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
+``phi_transport``, for a batch of right-hand sides at once.
 """
 from __future__ import annotations
 
@@ -148,6 +150,8 @@ _REGISTRY = {}
 
 # A pole is cleared by a power K = p^k >= order / _POLE_STEPS of Frobenius.
 _POLE_STEPS = 8
+# int64 entries in one work array of a batched transform; wider batches go in column groups
+_WORK = 1 << 14
 
 
 def _cache(key, build):
@@ -163,8 +167,8 @@ class Context:
         self.field = field
         self.p, self.f, self.m = field.p, field.f, field.m
         p, f = self.p, self.f
-        self.M = int(pi_order) if pi_order else 4 * p ** (f + 1)
-        self.L = int(tail_floor) if tail_floor else -4 * p**f
+        self.M = int(pi_order) if pi_order is not None else 4 * p ** (f + 1)
+        self.L = int(tail_floor) if tail_floor is not None else -4 * p**f
         if self.L >= 0 or self.M <= 0:
             raise ValueError("need tail_floor < 0 < pi_order")
         self.padic_depth = padic_depth
@@ -234,14 +238,8 @@ class Context:
         return _cache((self.field.key, gamma.chi_int, "winv"), build)
 
     def gamma_act_series(self, gamma: GammaElement, s: LaurentSeries, out_order=None) -> LaurentSeries:
-        """Substitute pi -> gamma(pi) in one Laurent series.
-
-        A pole of order up to K = p^k is cleared first: by Frobenius
-        gamma(s) = gamma(pi)^(-K) gamma(pi^K s) with gamma(pi)^(-K) =
-        sum_t winv_t pi^(tK).  The power series pi^K s goes to the basis
-        y^k, y = 1 + pi, where gamma is the permutation y^k -> y^(chi k mod
-        p^N) (exact below pi^(p^N), as y^(p^N) = 1 + pi^(p^N)), and back.
-        K >= order / _POLE_STEPS keeps the final product to a few shifts."""
+        """Substitute pi -> gamma(pi) in one Laurent series (a batch of width 1 of
+        ``gamma_act_rows``).  A series with a pole is claimed to M - L + 1 + floor."""
         order = min(s.order, self.M)
         if out_order is not None:
             order = min(order, out_order)
@@ -249,34 +247,56 @@ class Context:
             return LaurentSeries.zero(self.field, order)
         if gamma.chi_int == 1:
             return s.truncate(order)
-        p = self.p
-        K = 0
         if s.floor < 0:
             if s.order < 0:
                 raise PrecisionError("a pole series needs its coefficients up to pi^0")
             # a pole of depth d is claimed to M - L + 1 - d; coboundary windows downstream are sized by it
             order = min(order, self.M - self.L + 1 + s.floor)
-            K = 1
-            while K < -s.floor or _POLE_STEPS * K < order:
-                K *= p
         order = int(order)
         if order <= s.floor:
             return LaurentSeries.zero(self.field, order)
+        rows = self.gamma_act_rows(gamma, s.coeff_rows(s.floor, order), s.floor, order)
+        return LaurentSeries(self.field, s.floor, order, rows)
+
+    def gamma_act_rows(self, gamma: GammaElement, x: np.ndarray, floor: int, order: int) -> np.ndarray:
+        """gamma on a batch of series that vanish below ``floor``, given by their
+        coefficient rows x on [floor, order) (axis 0 the exponent, the other axes
+        the batch); the images are exact on the same window.
+
+        A pole of order up to K = p^k is cleared first: by Frobenius
+        gamma(s) = gamma(pi)^(-K) gamma(pi^K s) with gamma(pi)^(-K) =
+        sum_t winv_t pi^(tK).  The power series pi^K s goes to the basis
+        y^k, y = 1 + pi, where gamma is the permutation y^k -> y^(chi k mod
+        p^N) (exact below pi^(p^N), as y^(p^N) = 1 + pi^(p^N)), and back.
+        K >= order / _POLE_STEPS keeps the final product to a few shifts.  The
+        batch goes through in column groups whose p^N rows hold at most _WORK entries."""
+        p = self.p
+        K = 0
+        if floor < 0:
+            K = 1
+            while K < -floor or _POLE_STEPS * K < order:
+                K *= p
         R = order + K
         P = pascal_size(p, R)
-        x = np.zeros((P, self.m), dtype=np.int64)
-        x[:R] = s.coeff_rows(-K, order)
-        y = pascal_transform(x, p)
-        z = np.empty_like(y)
-        z[np.arange(P) * (gamma.chi_int % P) % P] = y
-        g = pascal_transform(z, p, inverse=True)[:R]
-        if K:
-            acc = np.zeros_like(g)
-            for t, c in enumerate(self._winv(gamma)):
-                if c and t * K < R:
-                    acc[t * K :] += c * g[: R - t * K]
-            g = acc % p
-        return LaurentSeries(self.field, -K, order, g)
+        perm = np.arange(P) * (gamma.chi_int % P) % P
+        flat = x.reshape(order - floor, -1)
+        out = np.zeros_like(flat)
+        cols = np.flatnonzero(flat.any(axis=0))  # zero columns stay zero
+        width = max(1, _WORK // P)
+        for a in range(0, len(cols), width):
+            group = cols[a : a + width]
+            z = np.zeros((P, len(group)), dtype=np.int64)
+            z[K + floor : R] = flat[:, group]
+            z[perm] = pascal_transform(z, p)
+            g = pascal_transform(z, p, inverse=True)[:R]
+            if K:
+                acc = np.zeros_like(g)
+                for t, c in enumerate(self._winv(gamma)):
+                    if c and t * K < R:
+                        acc[t * K :] += c * g[: R - t * K]
+                g = acc % p
+            out[:, group] = g[K + floor :]
+        return out.reshape(x.shape)
 
     def gamma_act(self, gamma: GammaElement, x: TateElement, out_order=None) -> TateElement:
         return TateElement(self, [self.gamma_act_series(gamma, c, out_order) for c in x.comps])
@@ -319,6 +339,22 @@ class Context:
         out = lam * img - s
         return out if out_order is None else out.truncate(out_order)
 
+    def op_lambda_gamma_rows(self, gamma: GammaElement, sigma: int, x: np.ndarray, floor: int, order: int) -> np.ndarray:
+        """(lambda_gamma^sigma * gamma - 1) on a batch of series given as in
+        ``gamma_act_rows``, exact on [floor, order).  lambda has F_p coefficients,
+        so the product is an integer matmul with its lower-triangular Toeplitz
+        matrix, taken in row blocks of at most _WORK entries."""
+        n = order - floor
+        lam = self.lambda_pow(gamma, sigma).coeff_rows(0, n)[:, 0]
+        img = self.gamma_act_rows(gamma, x, floor, order).reshape(n, -1)
+        out = np.zeros_like(img)
+        cols = np.flatnonzero(img.any(axis=0))
+        step = max(1, _WORK // n)
+        for r in range(0, n, step):
+            lag = np.arange(r, min(r + step, n))[:, None] - np.arange(n)
+            out[r : r + step, cols] = np.where(lag >= 0, lam[np.maximum(lag, 0)], 0) @ img[:, cols]
+        return (out.reshape(x.shape) - x) % self.p
+
     def op_lambda_gamma_monomial(self, gamma: GammaElement, sigma: int, e: int, out_order=None) -> LaurentSeries:
         return self.op_lambda_gamma(gamma, sigma, self.pi(e), out_order)
 
@@ -353,27 +389,13 @@ def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSer
 
 
 def _solve_c_phi_minus_one(ctx: Context, C: FieldElement, h: LaurentSeries, order: int, q: int = None) -> LaurentSeries:
-    """Recursion for C g(pi^q) - g = h on F[[pi]] (q = p^f by default); for C = 1
-    solves in pi F[[pi]]."""
-    field = ctx.field
-    q = q or ctx.p**ctx.f
-    rows = h.coeff_rows(0, order)
-    out = np.zeros_like(rows)
-    one = field.one()
-    for n in range(order):
-        hn = field.from_row(rows[n])
-        if n == 0:
-            if C == one:
-                if hn:
-                    raise NonBijectiveError("constant-term obstruction for C = 1")
-                continue
-            out[0] = (hn / (C - one)).row()
-        else:
-            gn = -hn
-            if n % q == 0:
-                gn = gn + C * field.from_row(out[n // q])
-            out[n] = gn.row()
-    return LaurentSeries(field, 0, order, out)
+    """C g(pi^q) - g = h on F[[pi]] (q = p^f by default), one component of
+    ``phi_transport``; for C = 1 solves in pi F[[pi]]."""
+    rows = h.coeff_rows(0, order)[None, :, :, None]
+    g, obstruction = phi_transport(ctx.field, q or ctx.p**ctx.f, [0], [C], 0, order, rows)
+    if obstruction.any():
+        raise NonBijectiveError("constant-term obstruction for C = 1")
+    return LaurentSeries(ctx.field, 0, order, g[0, :, :, 0])
 
 
 def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> LaurentSeries:
@@ -383,3 +405,69 @@ def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> Lauren
     if not h.is_zero() and h.val() < 1:
         raise ValueError("h must lie in pi F[[pi]]")
     return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)), q)
+
+
+def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: FieldElement = None):
+    """Solve C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e] for b_i[e], i in Z/f, e in [lo, hi).
+
+    h has shape (f, hi - lo, m, B): B right-hand sides solved at once.  A node
+    (i, e) whose source (i+1, (e - shifts_i)/q) is not an exponent in [lo, hi),
+    or with e >= free_i, is a root: b_i[e] = -h_i[e].  Every other node has one
+    source, so the nodes are filled in order of chain depth, one gather and one
+    batch of m x m products C_i per level.  Chains that reach no root end in the
+    fixed cycle, where (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k.  When
+    prod C = 1 that sum is the obstruction returned, and u_0 = t (default 0)
+    where it vanishes, 0 elsewhere.  u_0 sits on the cycle node of the lowest
+    component and the cycle is filled forward from it, so a nonzero obstruction
+    shows as the one failed equation at the cycle's last node.
+    Returns b, of the shape of h, and the obstruction, of shape (m, B)."""
+    p, m = field.p, field.m
+    f, W, _, B = h.shape
+    e = np.arange(lo, hi)
+    num = e - np.asarray(shifts)[:, None]
+    src = num // q
+    free = np.full((f, 1), hi) if free is None else np.asarray(free)[:, None]
+    root = (num % q != 0) | (src < lo) | (src >= hi) | (e >= free)
+    nodes = np.arange(f * W).reshape(f, W)
+    succ = np.where(root, nodes, ((np.arange(f) + 1) % f * W)[:, None] + src - lo).ravel()
+    comp = np.repeat(np.arange(f), W)
+    Cm = np.stack([field.mul_matrix(c) for c in C])
+    h = h.reshape(f * W, m, B)
+    b = np.negative(h)
+    b %= p
+    done = root.ravel()
+
+    def fill():
+        while True:
+            idx = np.flatnonzero(~done & done[succ])
+            if idx.size == 0:
+                return
+            b[idx] = (np.einsum("nij,njb->nib", Cm[comp[idx]], b[succ[idx]]) - h[idx]) % p
+            done[idx] = True
+
+    fill()
+    obstruction = np.zeros((m, B), dtype=np.int64)
+    if not done.all():
+        x, path = int(np.flatnonzero(~done)[0]), []
+        while x not in path:
+            path.append(x)
+            x = int(succ[x])
+        cycle = path[path.index(x) :]
+        x = min(cycle)  # u_0 sits on the cycle node of the lowest component
+        cycle = cycle[cycle.index(x) :] + cycle[: cycle.index(x)]
+        acc, pref, prod = np.zeros((m, B), dtype=np.int64), np.eye(m, dtype=np.int64), field.one()
+        for n in cycle:
+            acc += pref @ h[n]
+            pref = pref @ Cm[comp[n]] % p
+            prod = prod * C[comp[n]]
+        if prod == field.one():
+            obstruction = acc % p
+            u = np.where(obstruction.any(axis=0), 0, (t or field.zero()).row()[:, None])
+        else:
+            u = field.mul_matrix((prod - 1).inv()) @ acc % p
+        for n in cycle:  # forward round the cycle, u_{k+1} = C_k^-1 (u_k + h_k)
+            b[n] = u
+            done[n] = True
+            u = field.mul_matrix(C[comp[n]].inv()) @ (u + h[n]) % p
+        fill()
+    return b.reshape(f, W, m, B), obstruction

@@ -67,8 +67,20 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         dict(GOOD, c=["x"]),
         dict(GOOD, C="x"),
         dict(GOOD, chi_eta=3),
+        dict(GOOD, precision={"pi_order": 0}),
+        dict(GOOD, precision={"tail_floor": 0}),
     ],
-    ids=["pi_order<0", "tail_floor>0", "precision-not-object", "f=0", "c-not-int", "C-not-element", "chi_eta-not-unit"],
+    ids=[
+        "pi_order<0",
+        "tail_floor>0",
+        "precision-not-object",
+        "f=0",
+        "c-not-int",
+        "C-not-element",
+        "chi_eta-not-unit",
+        "pi_order=0",
+        "tail_floor=0",
+    ],
 )
 def test_malformed_config_exits_2_with_json_error(cfg):
     r = run_cli(["classify"], cfg)
@@ -85,6 +97,20 @@ def test_verify_exits_5_when_a_lemma_fails(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"p": 3, "f": 1}))
     assert cli.main(["--config", str(path), "verify", "--lemma", "gamma_n"]) == cli.EXIT_LEMMA_FAILED == 5
     assert json.loads(capsys.readouterr().out)["failures"] > 0
+
+
+@pytest.mark.parametrize(
+    "args,cfg",
+    [
+        (["vj-table"], {"p": 3, "f": 2, "C": 2, "c": [1, 2], "stability_rerun": True}),
+        (["classify"], {"p": 3, "f": 2, "C": 1, "c": [1, 1]}),
+    ],
+    ids=["vj-table", "classify"],
+)
+def test_stdout_is_identical_across_processes(args, cfg):
+    first, second = run_cli(args, cfg), run_cli(args, cfg)
+    assert first.returncode == second.returncode == 0
+    assert first.stdout and first.stdout == second.stdout
 
 
 def test_vj_table_output():
@@ -156,3 +182,10 @@ def test_wach_saturate_roundtrip(tmp_path):
 def test_precision_scale_flag():
     d = json.loads(run_cli(["--precision-scale", "2", "classify"], {"p": 3, "f": 1, "C": 2, "c": [1]}).stdout)
     assert d["window"]["pi_order"] == 72 and d["window"]["tail_floor"] == -24
+    # an explicit window is scaled once, together with the default one
+    cfg = {"p": 3, "f": 1, "C": 2, "c": [1], "precision": {"tail_floor": -10}}
+    d = json.loads(run_cli(["--precision-scale", "2", "classify"], cfg).stdout)
+    assert d["window"]["pi_order"] == 72 and d["window"]["tail_floor"] == -20
+    cfg = {"p": 3, "f": 1, "C": 2, "c": [1], "precision": {"pi_order": 40}}
+    d = json.loads(run_cli(["--precision-scale", "2", "classify"], cfg).stdout)
+    assert d["window"]["pi_order"] == 80 and d["window"]["tail_floor"] == -24

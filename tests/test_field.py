@@ -79,3 +79,12 @@ def test_subfield_k_size():
     for p, f, m in [(2, 1, 2), (2, 2, 4), (3, 1, 2), (5, 1, 2)]:
         F = make_field(FieldSpec(p, f, m, default_modulus(p, m)))
         assert len(F.subfield_k_elements()) == p**f
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_mul_matrix_is_multiplication(p, m):
+    field = make_field(FieldSpec(p, 1, m, default_modulus(p, m)))
+    for c in field.elements():
+        mat = field.mul_matrix(c)
+        for x in field.elements():
+            assert tuple(int(v) for v in mat @ x.row() % p) == (c * x).coeffs

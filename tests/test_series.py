@@ -136,6 +136,24 @@ def test_window_tracking():
         (a * b).coeff(7)
 
 
+def test_order_cut_trims_trailing_zero_rows():
+    F3 = F(3)
+    cut = LaurentSeries(F3, 0, 3, [[1], [0], [0], [1]])
+    assert cut == LaurentSeries(F3, 0, 3, [[1]])
+    assert cut.rows.shape == (1, 1)
+    assert LaurentSeries(F3, 0, 5, [[1], [0], [1]]).truncate(2) == LaurentSeries(F3, 0, 2, [[1]])
+    assert LaurentSeries(F3, 2, 3, [[0], [1]]).is_zero()
+
+
+def test_scale_matches_series_product(rng):
+    for p, m in [(2, 2), (3, 2), (2, 3), (5, 2)]:
+        field = F(p, m)
+        s = rand_series(field, rng, -3, 12, 20)
+        for _ in range(5):
+            c = field.random_element(rng, nonzero=True)
+            assert s.scale(c) == s * LaurentSeries.const(field, c)
+
+
 def test_padic_integer():
     from phigamma import PadicInteger
 

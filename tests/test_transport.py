@@ -1,0 +1,359 @@
+"""The batched phi-transport against the per-coefficient recursion it replaced.
+
+The reference code below is the former memoized chain walk, one FieldElement
+at a time: ``RefPhiTransport`` (the old ``cocycle.PhiTransport``),
+``ref_unit_step`` (the old ``tate._solve_c_phi_minus_one``), ``ref_bounded_values``
+(the old ``BoundedSystem._transport``) and ``ref_bounded_column`` (the old
+column-at-a-time ``BoundedSystem.run``).
+"""
+import random
+
+import numpy as np
+import pytest
+
+from phigamma import LaurentSeries, NonBijectiveError, RankOneModule, basis_for, weight_profiles
+from phigamma.bounded import BoundedSystem
+from phigamma.cocycle import PhiTransport
+from phigamma.tate import _solve_c_phi_minus_one, phi_transport, solve_phi_unit_tail
+
+from conftest import ctx_for
+
+# (5, 1) has profiles with theta_phi below the tail floor (the cyclotomic J = S, plus)
+GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+# -- the slow reference -------------------------------------------------------------------
+
+
+class RefPhiTransport:
+    """C_i b_{i+1}[(e - (p-1)c_i)/p] - b_i[e] = h_i[e] by memoized chain walks."""
+
+    def __init__(self, module, h_comps, t=None):
+        ctx = module.ctx
+        self.module, self.ctx, self.h = module, ctx, list(h_comps)
+        self.p, self.f = ctx.p, ctx.f
+        self.shift = [(ctx.p - 1) * module.c[i] for i in range(ctx.f)]
+        one = ctx.field.one()
+        self.Ci = [module.C if i == 0 else one for i in range(ctx.f)]
+        q1 = ctx.p**ctx.f - 1
+        sig = module.sigmas()
+        self.cyclic = all((ctx.p - 1) * s % q1 == 0 for s in sig)
+        self.estar = tuple(-(ctx.p - 1) * s // q1 for s in sig) if self.cyclic else None
+        self.has_kernel = self.cyclic and module.C == one
+        self.cycle_violation = None
+        self.t = t if t is not None else ctx.field.zero()
+        self.memo = {}
+        if self.cyclic:
+            self._solve_cycle()
+
+    def _solve_cycle(self):
+        field = self.ctx.field
+        one = field.one()
+        hvals = [self.h[i].coeff(self.estar[i]) for i in range(self.f)]
+        acc, pref = field.zero(), one
+        for i in range(self.f):
+            acc = acc + pref * hvals[i]
+            pref = pref * self.Ci[i]
+        if self.has_kernel:
+            self.cycle_violation = acc
+            u0 = self.t if not acc else field.zero()
+        else:
+            u0 = acc / (self.module.C - one)
+        u = [u0]
+        for i in range(self.f - 1):
+            u.append((u[i] + hvals[i]) / self.Ci[i])
+        for i in range(self.f):
+            self.memo[(i, self.estar[i])] = u[i]
+
+    def coeff(self, i, e):
+        key = (i, e)
+        stack = [key]
+        while stack:
+            i2, e2 = stack[-1]
+            if (i2, e2) in self.memo:
+                stack.pop()
+                continue
+            src_num = e2 - self.shift[i2]
+            nxt = (i2 + 1) % self.f
+            if src_num % self.p != 0:
+                self.memo[(i2, e2)] = -self.h[i2].coeff(e2)
+                stack.pop()
+                continue
+            src = src_num // self.p
+            if (nxt, src) in self.memo:
+                self.memo[(i2, e2)] = self.Ci[i2] * self.memo[(nxt, src)] - self.h[i2].coeff(e2)
+                stack.pop()
+            else:
+                stack.append((nxt, src))
+        return self.memo[key]
+
+
+def ref_unit_step(ctx, C, h, order, q):
+    """C g(pi^q) - g = h on F[[pi]], coefficient by coefficient."""
+    field = ctx.field
+    rows = h.coeff_rows(0, order)
+    out = np.zeros_like(rows)
+    one = field.one()
+    for n in range(order):
+        hn = field.from_row(rows[n])
+        if n == 0:
+            if C == one:
+                if hn:
+                    raise NonBijectiveError("constant-term obstruction for C = 1")
+                continue
+            out[0] = (hn / (C - one)).row()
+        else:
+            gn = -hn
+            if n % q == 0:
+                gn = gn + C * field.from_row(out[n // q])
+            out[n] = gn.row()
+    return LaurentSeries(field, 0, order, out)
+
+
+def ref_bounded_values(sys_, ephi_coeff, param_vec):
+    """b_i[e] of a bounded system by chain walks: parameters at e >= theta_phi_i,
+    zero at e >= Ub_i; returns (bval, cycle violation)."""
+    ctx = sys_.ctx
+    field = ctx.field
+    f, p = ctx.f, ctx.p
+    memo = {}
+    violation = field.zero()
+    estar = sys_.module.fixed_cycle()
+    if estar is not None and all(estar[i] < sys_.theta_phi[i] for i in range(f)):
+        one = field.one()
+        hvals = [-ephi_coeff(i, estar[i]) for i in range(f)]
+        acc, pref = field.zero(), one
+        for i in range(f):
+            acc = acc + pref * hvals[i]
+            pref = pref * sys_.Ci[i]
+        if sys_.module.C == one:
+            violation, u0 = acc, field.zero()
+        else:
+            u0 = acc / (sys_.module.C - one)
+        u = [u0]
+        for i in range(f - 1):
+            u.append((u[i] + hvals[i]) / sys_.Ci[i])
+        for i in range(f):
+            memo[(i, estar[i])] = u[i]
+
+    def bval(i, e):
+        if e >= sys_.Ub[i]:
+            return field.zero()
+        if e >= sys_.theta_phi[i]:
+            return param_vec.get((i, e), field.zero())
+        stack = [(i, e)]
+        while stack:
+            i2, e2 = stack[-1]
+            if (i2, e2) in memo:
+                stack.pop()
+                continue
+            if e2 >= sys_.theta_phi[i2]:
+                memo[(i2, e2)] = param_vec.get((i2, e2), field.zero()) if e2 < sys_.Ub[i2] else field.zero()
+                stack.pop()
+                continue
+            src_num = e2 - sys_.shifts[i2]
+            nxt = (i2 + 1) % f
+            if src_num % p != 0:
+                memo[(i2, e2)] = ephi_coeff(i2, e2)
+                stack.pop()
+                continue
+            src = src_num // p
+            if src >= sys_.Ub[nxt]:
+                memo[(i2, e2)] = ephi_coeff(i2, e2)
+                stack.pop()
+            elif src >= sys_.theta_phi[nxt]:
+                memo[(i2, e2)] = ephi_coeff(i2, e2) + sys_.Ci[i2] * param_vec.get((nxt, src), field.zero())
+                stack.pop()
+            elif (nxt, src) in memo:
+                memo[(i2, e2)] = ephi_coeff(i2, e2) + sys_.Ci[i2] * memo[(nxt, src)]
+                stack.pop()
+            else:
+                stack.append((nxt, src))
+        return memo[(i, e)]
+
+    return bval, violation
+
+
+def ref_bounded_column(sys_, E=None, param_index=None):
+    """One column of the residual matrix, built series by series."""
+    ctx = sys_.ctx
+    field = ctx.field
+    f, p = ctx.f, ctx.p
+    if E is not None:
+        ephi = [E.mu_phi[i] for i in range(f)]
+
+        def ephi_coeff(i, e):
+            return ephi[i].coeff(e)
+
+    else:
+
+        def ephi_coeff(i, e):
+            return field.zero()
+
+    pv = {} if param_index is None else {sys_.params[param_index]: field.one()}
+    bval, violation = ref_bounded_values(sys_, ephi_coeff, pv)
+    lo = sys_.Lb
+    bseries = []
+    for i in range(f):
+        hi = max(sys_.Ub[i], lo)
+        rows = np.zeros((hi - lo, field.m), dtype=np.int64)
+        for e in range(lo, hi):
+            v = bval(i, e)
+            if v:
+                rows[e - lo] = v.row()
+        bseries.append(LaurentSeries(field, lo, ctx.M, rows))
+    pieces = []
+    for i in range(f):
+        term = bseries[(i + 1) % f].substitute_power(p).shift(sys_.shifts[i]).scale(sys_.Ci[i]) - bseries[i]
+        if E is not None:
+            term = term + ephi[i]
+        pieces.append(sys_.G.encode_rows(term.coeff_rows(sys_.phi_lo, sys_.theta_phi[i])))
+    if sys_.has_cycle_slot:
+        pieces.append(np.array([violation.index()], dtype=np.int64))
+    for name in sys_.gen_names:
+        gamma = ctx.eta if name == "eta" else ctx.xi
+        for i in range(f):
+            theta = sys_.theta_gen[name][i]
+            img = ctx.op_lambda_gamma(gamma, sys_.module.sigma(i), bseries[i], out_order=theta)
+            if E is not None:
+                img = img + (E.mu_xi() if name == "xi" else E.mu_gen[name]).comps[i]
+            pieces.append(sys_.G.encode_rows(img.coeff_rows(sys_.gen_lo, theta)))
+    return np.concatenate(pieces)
+
+
+# -- inputs --------------------------------------------------------------------------------
+
+
+def modules(ctx, rng):
+    """A generic module, a cyclic one without a kernel (C != 1, constant digits),
+    and cyclic ones with a kernel (C = 1: trivial, cyclotomic for p > 2)."""
+    p, f, F = ctx.p, ctx.f, ctx.field
+    c = [rng.randrange(p) for _ in range(f)]
+    if all(x == p - 1 for x in c):
+        c[0] = 0
+    C = F.random_element(rng, nonzero=True)
+    out = [RankOneModule(ctx, C, c), RankOneModule(ctx, 1, [0] * f)]
+    if F.q > 2:
+        out.append(RankOneModule(ctx, F.generator(), [(p - 1) // 2] * f))
+    if p > 2:
+        out.append(RankOneModule(ctx, 1, [p - 2] * f))
+    return out
+
+
+def random_series(ctx, rng, lo, hi, order):
+    F = ctx.field
+    return LaurentSeries.from_pairs(F, {e: F.random_element(rng) for e in range(lo, hi)}, order)
+
+
+# -- the tests -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_phi_transport_matches_recursion(p, f):
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(1000 * p + f)
+    lo, hi = -3 * p**f, 4 * p * p
+    seen_violation = seen_t = False
+    for M in modules(ctx, rng):
+        kernel = M.C == F.one() and M.fixed_cycle() is not None
+        for t, clear in [(None, False), (F.random_element(rng, nonzero=True), False), (F.random_element(rng, nonzero=True), True)] if kernel else [(None, False)]:
+            h = [random_series(ctx, rng, lo, hi, ctx.M) for _ in range(f)]
+            estar = M.fixed_cycle()
+            if clear:
+                # a kernel value t is only used when the cycle obstruction vanishes
+                h = [hc - LaurentSeries.monomial(F, e, hc.coeff(e)) for hc, e in zip(h, estar)]
+            new = PhiTransport(M, h, t=t, lo=lo, hi=hi)
+            ref = RefPhiTransport(M, h, t=t)
+            assert new.estar == ref.estar and new.has_kernel == ref.has_kernel
+            for i in range(f):
+                for e in range(lo, hi):
+                    assert new.coeff(i, e) == ref.coeff(i, e), (M, t, i, e)
+            assert new.cycle_violation == ref.cycle_violation
+            seen_violation |= bool(ref.cycle_violation)
+            seen_t |= clear
+            # a lookup outside the solved window widens it
+            assert new.coeff(0, lo - 5) == ref.coeff(0, lo - 5)
+    assert seen_violation and seen_t
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_unit_step_transport_matches_recursion(p, f):
+    """The f = 1 step-q solve of solve_phi_minus_one (q = p^f) and of the
+    phi-unit tail (q = p or p^f)."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(2000 * p + f)
+    order = min(ctx.M, 6 * p**f)
+    for q in {p, p**f}:
+        for C in [F.random_element(rng, nonzero=True), F.one()]:
+            h = random_series(ctx, rng, 0 if C != F.one() else 1, order, order)
+            assert _solve_c_phi_minus_one(ctx, C, h, order, q) == ref_unit_step(ctx, C, h, order, q)
+        h = random_series(ctx, rng, 1, order, order)
+        assert solve_phi_unit_tail(ctx, h, q) == ref_unit_step(ctx, F.one(), h, order, q)
+    with pytest.raises(NonBijectiveError):
+        _solve_c_phi_minus_one(ctx, F.one(), ctx.one_series(order), order)
+
+
+def system_cases(ctx, rng):
+    """(module, profile) pairs: every module of ``modules`` with every profile of
+    J = {} (where the fixed cycle of a cyclic module is transported) and of
+    J = S, and the generic module with one random J."""
+    cases = []
+    for M in modules(ctx, rng):
+        for J in [(), tuple(range(ctx.f))]:
+            cases += [(M, prof) for prof in weight_profiles(M, J)]
+    J = tuple(j for j in range(ctx.f) if rng.random() < 0.5)
+    cases.append((cases[0][0], rng.choice(weight_profiles(cases[0][0], J))))
+    return cases
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_bounded_transport_with_random_parameters(p, f):
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(3000 * p + f)
+    for M, prof in system_cases(ctx, rng):
+        sys_ = BoundedSystem(M, prof)
+        E = basis_for(M).combination([F.random_element(rng) for _ in basis_for(M).elements])
+        values = {node: F.random_element(rng) for node in sys_.params}
+        lo, hi = min(sys_.Lb, 1 - p, *sys_.theta_phi), max(sys_.Ub)
+        h = np.zeros((f, hi - lo, F.m, 1), dtype=np.int64)
+        for i in range(f):
+            h[i, : max(sys_.theta_phi[i] - lo, 0), :, 0] = -E.mu_phi[i].coeff_rows(lo, sys_.theta_phi[i])
+        for (i, e), v in values.items():
+            h[i, e - lo, :, 0] = -v.row()
+        b, obstruction = phi_transport(F, p, sys_.shifts, sys_.Ci, lo, hi, h % p, free=sys_.theta_phi)
+        bval, violation = ref_bounded_values(sys_, lambda i, e: E.mu_phi[i].coeff(e), values)
+        for i in range(f):
+            for e in range(sys_.Lb, sys_.Ub[i]):
+                assert F.from_row(b[i, e - lo, :, 0]) == bval(i, e), (M, prof, i, e)
+        if sys_.has_cycle_slot:
+            assert F.from_row(obstruction[:, 0]) == violation
+
+
+def assert_run_matches_reference(M, prof):
+    sys_ = BoundedSystem(M, prof)
+    basis = basis_for(M).elements
+    cols = [ref_bounded_column(sys_, E=B) for B in basis]
+    cols += [ref_bounded_column(sys_, param_index=j) for j in range(sys_.n_params())]
+    assert np.array_equal(sys_.run(basis), np.stack(cols, axis=1)), (M, prof)
+    return sys_
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_bounded_run_matches_columnwise_reference(p, f):
+    rng = random.Random(4000 * p + f)
+    slots = sum(assert_run_matches_reference(M, prof).has_cycle_slot for M, prof in system_cases(ctx_for(p, f), rng))
+    assert slots  # a kernel module whose fixed cycle is transported
+
+
+def test_bounded_run_with_a_shallow_tail_floor():
+    """Tail floor -1 > 1 - p: the transport reaches nodes below the floor, which
+    the coboundary leaves out and the phi rows must read as zero."""
+    ctx = ctx_for(5, 2, tail_floor=-1)
+    for c in [(4, 1), (3, 3), (1, 2)]:
+        M = RankOneModule(ctx, 2, c)
+        for J in [(), (0,), (1,), (0, 1)]:
+            for prof in weight_profiles(M, J):
+                assert_run_matches_reference(M, prof)
