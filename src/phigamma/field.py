@@ -80,6 +80,20 @@ def _x_pow_q_mod(q: int, mod: Sequence[int], p: int) -> list:
     return result
 
 
+def _width(rows: np.ndarray) -> int:
+    """The highest nonzero column of ``rows`` plus 1 (0 for an all-zero array)."""
+    cols = rows.any(axis=0).tolist()
+    return len(cols) - cols[::-1].index(True) if True in cols else 0
+
+
+def _pack(rows: np.ndarray, d: int, w: int, slot: int) -> int:
+    """sum rows[i, s] 2^(8 slot (i w + s)) over the first d columns, from little-endian bytes."""
+    vb = min(slot, 8)  # entries are < p and (p-1)^2 fits in a slot
+    buf = np.zeros((len(rows), w, slot), dtype=np.uint8)
+    buf[:, :d, :vb] = np.ascontiguousarray(rows[:, :d], dtype="<i8").view(np.uint8).reshape(len(rows), d, 8)[..., :vb]
+    return int.from_bytes(buf.tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Parameters of the coefficient field: p, f = [K:Q_p], m = [F:F_p], modulus."""
@@ -273,18 +287,24 @@ class Field:
         return FieldElement(self, tuple(prod + [0] * (self.m - len(prod))))
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m)."""
-        ka, kb, m = a.shape[0], b.shape[0], self.m
-        acc = np.zeros((ka + kb - 1, 2 * m - 1), dtype=np.int64)
-        for i in range(m):
-            col_a = a[:, i]
-            if not col_a.any():
-                continue
-            for j in range(m):
-                col_b = b[:, j]
-                if col_b.any():
-                    acc[:, i + j] += np.convolve(col_a, col_b)
-        return (acc % self.p) @ self._red % self.p
+        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m), by exact
+        Kronecker substitution: each operand becomes one Python int with x at one slot and pi
+        at a stride of w = d_a + d_b - 1 slots (d: highest nonzero column + 1), so one int
+        product holds every coefficient of a * b before reduction by the modulus.  A slot
+        is a whole number of bytes above min(ka, kb) min(d_a, d_b) (p-1)^2, so no carry crosses it."""
+        p, m = self.p, self.m
+        a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
+        n = max(len(a) + len(b) - 1, 0)
+        da, db = _width(a), _width(b)
+        if not (da and db):
+            return np.zeros((n, m), dtype=np.int64)
+        w = da + db - 1
+        slot = ((min(len(a), len(b)) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8
+        prod = _pack(a, da, w, slot) * _pack(b, db, w, slot)
+        digits = np.frombuffer(prod.to_bytes(n * w * slot, "little"), dtype=np.uint8).reshape(n, w, slot)
+        weights = np.array([pow(256, j, p) for j in range(slot)], dtype=np.int64)
+        vals = digits.astype(np.int64) @ weights % p  # slot value mod p, in int64 under any promotion rules
+        return vals @ self._red[:w] % p  # rows k < m of _red are x^k: an F_p factor (w <= m) is only padded
 
     def mul_matrix(self, c) -> np.ndarray:
         """The m x m F_p matrix of x -> c x on coefficient columns:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .field import Field, FieldElement
 
-_TABLE_LIMIT = 4096
+TABLE_LIMIT = 4096
 _CACHE = {}
 
 
@@ -19,8 +19,8 @@ class GF:
     """Table-backed arithmetic for vectorized row operations over F_q."""
 
     def __init__(self, field: Field):
-        if field.q > _TABLE_LIMIT:
-            raise ValueError("GF tables limited to q <= %d (got %d)" % (_TABLE_LIMIT, field.q))
+        if field.q > TABLE_LIMIT:
+            raise ValueError("GF tables limited to q <= %d (got %d)" % (TABLE_LIMIT, field.q))
         self.field = field
         self.p, self.m, self.q = field.p, field.m, field.q
         p, m, q = self.p, self.m, self.q

@@ -93,11 +93,12 @@ class LaurentSeries:
             self.floor = floor
             self.rows = rows
             return
-        rows = np.asarray(rows, dtype=np.int64) % field.p
+        rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows.reshape(-1, field.m)
         if self.order != INF:
             rows = rows[: max(0, self.order - floor)]
+        rows = rows % field.p  # after the cut, so no row beyond the window stays referenced
         nz = np.flatnonzero(rows.any(axis=1))
         if nz.size == 0:
             self.floor = self.order
@@ -228,11 +229,8 @@ class LaurentSeries:
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(self.field, order)
         floor = self.floor + other.floor
-        if self.field.m == 1:
-            conv = np.convolve(self.rows[:, 0], other.rows[:, 0]) % self.field.p
-            rows = conv.reshape(-1, 1)
-        else:
-            rows = self.field.mul_rows(self.rows, other.rows)
+        keep = None if order == INF else order - floor  # rows that can land below the result's order
+        rows = self.field.mul_rows(self.rows[:keep], other.rows[:keep])
         return LaurentSeries(self.field, floor, order, rows)
 
     __rmul__ = __mul__

@@ -333,10 +333,7 @@ class Context:
     def op_lambda_gamma(self, gamma: GammaElement, sigma: int, s: LaurentSeries, out_order=None) -> LaurentSeries:
         """(lambda_gamma^sigma * gamma - 1)(s)."""
         img = self.gamma_act_series(gamma, s, out_order)
-        lam = self.lambda_pow(gamma, sigma)
-        if out_order is not None:
-            lam = lam.truncate(out_order - min(img.low, 0) + 1)
-        out = lam * img - s
+        out = self.lambda_pow(gamma, sigma) * img - s
         return out if out_order is None else out.truncate(out_order)
 
     def op_lambda_gamma_rows(self, gamma: GammaElement, sigma: int, x: np.ndarray, floor: int, order: int) -> np.ndarray:

@@ -12,10 +12,11 @@ import phigamma
 SRC = str(Path(phigamma.__file__).resolve().parents[1])
 
 
-def run_cli(args, config=None, check=True):
+def run_cli(args, config=None, check=True, timeout=None):
     cmd = [sys.executable, "-m", "phigamma.cli"] + args
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    r = subprocess.run(cmd, input=json.dumps(config) if config is not None else "", capture_output=True, text=True, env=env)
+    stdin = json.dumps(config) if config is not None else ""
+    r = subprocess.run(cmd, input=stdin, capture_output=True, text=True, env=env, timeout=timeout)
     return r
 
 
@@ -58,17 +59,19 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg,cmd",
     [
-        dict(GOOD, precision={"pi_order": -5}),
-        dict(GOOD, precision={"tail_floor": 5}),
-        dict(GOOD, precision=7),
-        dict(GOOD, f=0),
-        dict(GOOD, c=["x"]),
-        dict(GOOD, C="x"),
-        dict(GOOD, chi_eta=3),
-        dict(GOOD, precision={"pi_order": 0}),
-        dict(GOOD, precision={"tail_floor": 0}),
+        (dict(GOOD, precision={"pi_order": -5}), "classify"),
+        (dict(GOOD, precision={"tail_floor": 5}), "classify"),
+        (dict(GOOD, precision=7), "classify"),
+        (dict(GOOD, f=0), "classify"),
+        (dict(GOOD, c=["x"]), "classify"),
+        (dict(GOOD, C="x"), "classify"),
+        (dict(GOOD, chi_eta=3), "classify"),
+        (dict(GOOD, precision={"pi_order": 0}), "classify"),
+        (dict(GOOD, precision={"tail_floor": 0}), "classify"),
+        # GF tables stop at q = 4096; refused before any window is built
+        ({"p": 17, "f": 3, "C": 1, "c": [1, 2, 3]}, "vj-table"),
     ],
     ids=[
         "pi_order<0",
@@ -80,10 +83,11 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "chi_eta-not-unit",
         "pi_order=0",
         "tail_floor=0",
+        "vj-table-q>4096",
     ],
 )
-def test_malformed_config_exits_2_with_json_error(cfg):
-    r = run_cli(["classify"], cfg)
+def test_malformed_config_exits_2_with_json_error(cfg, cmd):
+    r = run_cli([cmd], cfg, timeout=60)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert "error" in json.loads(r.stderr)

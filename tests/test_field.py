@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from phigamma import FieldError, FieldSpec, frobenius, make_field
@@ -88,3 +89,91 @@ def test_mul_matrix_is_multiplication(p, m):
         mat = field.mul_matrix(c)
         for x in field.elements():
             assert tuple(int(v) for v in mat @ x.row() % p) == (c * x).coeffs
+
+
+def schoolbook_mul_rows(field, a, b):
+    """Reference product of coefficient rows: one np.convolve per pair of
+    nonzero columns, then reduction by the modulus (int64; small p only)."""
+    ka, kb, m = a.shape[0], b.shape[0], field.m
+    acc = np.zeros((max(ka + kb - 1, 0), 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        col_a = a[:, i]
+        if not col_a.any():
+            continue
+        for j in range(m):
+            col_b = b[:, j]
+            if col_b.any():
+                acc[:, i + j] += np.convolve(col_a, col_b)
+    return (acc % field.p) @ field._red % field.p
+
+
+def int_mul_rows(field, a, b):
+    """Reference product in Python ints, exact for any p."""
+    p, m = field.p, field.m
+    acc = [[0] * (2 * m - 1) for _ in range(max(len(a) + len(b) - 1, 0))]
+    for i, ra in enumerate(a.tolist()):
+        for j, rb in enumerate(b.tolist()):
+            for s, x in enumerate(ra):
+                for t, y in enumerate(rb):
+                    acc[i + j][s + t] += x * y
+    red = field._red.tolist()
+    out = [[sum(c * red[k][col] for k, c in enumerate(row)) % p for col in range(m)] for row in acc]
+    return np.array(out, dtype=np.int64).reshape(-1, m)
+
+
+def slot_bytes(p, a, b):
+    """The slot width of the Kronecker product of a and b, in bytes."""
+    widths = [int(np.flatnonzero(x.any(axis=0))[-1]) + 1 for x in (a, b)]
+    return ((min(len(a), len(b)) * min(widths) * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def random_rows(gen, p, n, m, d):
+    """n random rows with entries in [0, p) in the first d columns only."""
+    rows = np.zeros((n, m), dtype=np.int64)
+    rows[:, :d] = gen.integers(0, p, (n, d))
+    return rows
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
+def test_mul_rows_matches_schoolbook(p, m):
+    field = make_field(FieldSpec(p, 1, m, default_modulus(p, m)))
+    gen = np.random.default_rng(1000 * p + m)
+    cases = [(0, 3, m, m), (4, 0, m, m), (0, 0, m, m), (1, 1, m, m), (1, 7, 1, m), (9, 1, m, 1), (3000, 2500, m, m)]
+    cases += [(3000, 40, 1, m), (1, 3000, m, m)]
+    for _ in range(40):
+        ka, kb = (int(k) for k in gen.integers(1, 400, 2))
+        cases.append((ka, kb, int(gen.integers(1, m + 1)), int(gen.integers(1, m + 1))))
+    for ka, kb, da, db in cases:  # da, db = 1: F_p-coefficient rows
+        a, b = random_rows(gen, p, ka, m, da), random_rows(gen, p, kb, m, db)
+        got = field.mul_rows(a, b)
+        assert got.shape == (max(ka + kb - 1, 0), m)
+        assert np.array_equal(got, schoolbook_mul_rows(field, a, b)), (ka, kb, da, db)
+    zero = np.zeros((5, m), dtype=np.int64)
+    assert np.array_equal(field.mul_rows(zero, random_rows(gen, p, 6, m, m)), np.zeros((10, m), dtype=np.int64))
+    # unreduced and negative entries mean their residues mod p
+    a, b = gen.integers(-3 * p, 3 * p, (20, m)), gen.integers(-3 * p, 3 * p, (30, m))
+    assert np.array_equal(field.mul_rows(a, b), schoolbook_mul_rows(field, a % p, b % p))
+
+
+@pytest.mark.parametrize(
+    "p,m,ka,kb,da,db,width",
+    [
+        (2, 1, 5, 5, 1, 1, 1),
+        (5, 3, 300, 320, 1, 3, 2),
+        (5, 3, 3000, 3000, 3, 3, 3),
+        (65521, 1, 300, 280, 1, 1, 6),
+        (2**31 - 1, 1, 300, 280, 1, 1, 9),
+        (2**31 - 1, 1, 1, 1, 1, 1, 8),
+    ],
+)
+def test_mul_rows_slot_widths(p, m, ka, kb, da, db, width):
+    field = make_field(FieldSpec(p, 1, m, default_modulus(p, m)))
+    gen = np.random.default_rng(ka + p)
+    a, b = random_rows(gen, p, ka, m, da), random_rows(gen, p, kb, m, db)
+    a[0, da - 1] = b[0, db - 1] = p - 1  # the largest entries reach the top of the slot
+    assert slot_bytes(p, a, b) == width
+    want = schoolbook_mul_rows(field, a, b) if p < 2**20 else int_mul_rows(field, a, b)
+    assert np.array_equal(field.mul_rows(a, b), want)
+    if p > 2**20:  # every coefficient at its maximum: the carries the slots must absorb
+        full = np.full((ka, m), p - 1, dtype=np.int64)
+        assert np.array_equal(field.mul_rows(full, full), int_mul_rows(field, full, full))

@@ -5,6 +5,7 @@ import pytest
 
 from phigamma import FieldSpec, LaurentSeries, PrecisionError, make_field, nth_root_unit, one_plus_pi_pow
 from phigamma.field import default_modulus
+from phigamma.series import INF
 
 
 def F(p, m=1):
@@ -173,3 +174,37 @@ def test_one_plus_pi_pow_insufficient_digits():
     assert one_plus_pi_pow(F3, u, 9).agrees_with(one_plus_pi_pow(F3, 4, 9))
     with pytest.raises(PrecisionError):
         one_plus_pi_pow(F3, u, 10)
+
+
+def _full_product(a, b):
+    """a * b from the whole rows of both factors, cut only at the result's order."""
+    from test_field import schoolbook_mul_rows
+
+    order = min(a.order + b.low, b.order + a.low)
+    if a.is_zero() or b.is_zero():
+        return LaurentSeries.zero(a.field, order)
+    return LaurentSeries(a.field, a.floor + b.floor, order, schoolbook_mul_rows(a.field, a.rows, b.rows))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 2), (5, 1), (5, 3)])
+def test_cut_product_equals_full_product_truncated(rng, p, m):
+    field = F(p, m)
+    orders = [INF, 0, 1, 7, 40, 300]
+    for _ in range(120):
+        lo_a, lo_b = rng.randrange(-30, 10), rng.randrange(-30, 10)
+        a = rand_series(field, rng, lo_a, lo_a + rng.randrange(0, 250), rng.choice(orders))
+        b = rand_series(field, rng, lo_b, lo_b + rng.randrange(0, 250), rng.choice(orders))
+        if rng.random() < 0.3:  # an F_p-coefficient factor, as lambda or kappa
+            b = LaurentSeries(field, b.floor, b.order, b.rows * np.eye(m, dtype=np.int64)[0]) if not b.is_zero() else b
+        assert a * b == _full_product(a, b)
+        assert b * a == _full_product(b, a)
+
+
+def test_truncate_frees_rows_beyond_the_window():
+    F9 = F(3, 2)
+    s = LaurentSeries(F9, -5, INF, np.ones((20000, 2), dtype=np.int64))
+    for cut in (s.truncate(95), s.substitute_power(3).shift(7).truncate(95)):
+        rows = cut.rows
+        while rows.base is not None:
+            rows = rows.base
+        assert rows.nbytes <= (95 - cut.floor) * 2 * 8
