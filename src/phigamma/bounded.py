@@ -6,9 +6,8 @@ mu'_phi in F[[pi]]^S and mu'_xi in pi F[[pi]]^S (both generators for p = 2).
 Feasibility is a finite linear problem: coefficients of the correcting
 coboundary below the thresholds transport deterministically, and the few free
 block coefficients become unknowns of a small system over F.  The matrix of
-the system, one column per cocycle and per unknown, is built in one batched
-pass: one ``tate.phi_transport`` solve for all columns, the phi rows gathered
-by index arrays, and the generator rows through one batched gamma action.
+the system, one column per cocycle and per unknown, is
+``cocycle.residual_system`` at the twisted thresholds of the profile.
 """
 from __future__ import annotations
 
@@ -17,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import PrecisionError
-from .tate import TateElement, phi_transport
+from .tate import TateElement
 from .rankone import RankOneModule, WeightProfile, twist_exponents, weight_profiles
-from .cocycle import Cocycle, basis_for
+from .cocycle import Cocycle, basis_for, residual_system
 from .gflinalg import gf
 
 
@@ -92,59 +91,9 @@ class BoundedSystem:
         self.gen_lo = self.Lb
 
     def run(self, cocycles=()) -> np.ndarray:
-        """The residual matrix, one column per cocycle E (E plus the zero
-        coboundary) then one per parameter (a unit coefficient), built in one
-        batched pass: one transport, the phi rows gathered by index arrays and
-        the generator rows through one batched gamma action."""
-        ctx = self.ctx
-        field, G = ctx.field, self.G
-        f, p, m = ctx.f, ctx.p, field.m
-        if max(self.Ub) > ctx.M:
-            raise PrecisionError("window order %d is below the system thresholds" % ctx.M)
-        E = list(cocycles)
-        nE, B = len(E), len(E) + len(self.params)
-        # the transport window [lo, hi) holds every parameter and every source of a node in it
-        lo, hi, Lb = min(self.Lb, 1 - p, *self.theta_phi), max(self.Ub), self.Lb
-        h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
-        for k, c in enumerate(E):
-            for i in range(f):
-                h[i, : max(self.theta_phi[i] - lo, 0), :, k] = -c.mu_phi[i].coeff_rows(lo, self.theta_phi[i]) % p
-        if self.params:
-            comp, e = np.array(self.params).T
-            h[comp, e - lo, 0, nE + np.arange(len(self.params))] = p - 1
-        b, obstruction = phi_transport(field, p, self.shifts, self.Ci, lo, hi, h, free=self.theta_phi)
-        del h
-        b[:, : Lb - lo] = 0  # the coboundary is b on [Lb, Ub)
-        # the matrix, filled block by block: phi rows on [phi_lo, theta_phi_i), the
-        # cycle obstruction slot, generator rows on [gen_lo, theta_gen_i)
-        gens = [(name, i, self.theta_gen[name][i]) for name in self.gen_names for i in range(f)]
-        heights = [t - self.phi_lo for t in self.theta_phi] + [1] * self.has_cycle_slot + [t - self.gen_lo for _, _, t in gens]
-        heights = [max(n, 0) for n in heights]
-        out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
-        blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
-        for i in range(f):
-            rows = next(blocks)
-            e = np.arange(self.phi_lo, self.theta_phi[i])
-            num = e - self.shifts[i]
-            src = num // p
-            ok = (num % p == 0) & (src >= lo) & (src < hi)
-            own = e >= lo
-            rows[ok] = G.encode_rows(field.mul_matrix(self.Ci[i]) @ b[(i + 1) % f, src[ok] - lo])
-            rows[own] = G.sub(rows[own], G.encode_rows(b[i, e[own] - lo]))
-            for k, c in enumerate(E):
-                rows[:, k] = G.add(rows[:, k], G.encode_rows(c.mu_phi[i].coeff_rows(self.phi_lo, self.theta_phi[i])))
-        if self.has_cycle_slot:
-            next(blocks)[:] = G.encode_rows(obstruction[None])
-        for name, i, theta in gens:
-            rows = next(blocks)
-            if theta <= Lb:
-                continue
-            gamma = ctx.eta if name == "eta" else ctx.xi
-            img = ctx.op_lambda_gamma_rows(gamma, self.module.sigma(i), b[i, Lb - lo : theta - lo], Lb, theta)
-            for k, c in enumerate(E):
-                img[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(self.gen_lo, theta)
-            rows[:] = G.encode_rows(img)
-        return out
+        """The residual matrix at the profile's thresholds (``cocycle.residual_system``):
+        one column per cocycle E, then one per parameter (a unit coefficient)."""
+        return residual_system(self.module, self.Lb, self.theta_phi, self.theta_gen, cocycles, self.Ub, self.params)
 
     def n_params(self) -> int:
         return len(self.params)

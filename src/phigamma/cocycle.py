@@ -6,9 +6,15 @@ to the compatibility (dagger): (kappa_phi phi - 1)(mu_gamma) =
 words.  Basis elements B_i are built by greedy valuation elimination against
 (lambda_eta^Sigma eta - 1), with deeper rescue blocks when the elimination
 sticks at an exponent divisible by p - 1; the exceptional bases (trivial and
-cyclotomic modules) get their own constructions.  The coboundary test solves
-(kappa_phi phi - 1)(b) = mu_phi on a window by one ``tate.phi_transport`` call
-(``PhiTransport`` is a view of its result) and certifies the gamma residuals.
+cyclotomic modules) get their own constructions.
+
+One linear problem underlies the certificates: a cocycle plus a correcting
+coboundary must vanish below given thresholds.  ``residual_system`` builds its
+matrix for a batch of columns in one pass (one ``tate.phi_transport`` solve, one
+batched gamma action).  The coboundary test and the span decomposition in the
+basis solve it with every threshold at the window top; the V_J systems of
+``bounded`` use the twisted thresholds.  ``PhiTransport`` is a view of one
+transport solve and gives the coboundary test its witness.
 """
 from __future__ import annotations
 
@@ -578,7 +584,8 @@ class PhiTransport:
         self.lo, self.hi = min(lo, 1 - p), max(hi, 1)
         h = np.stack([c.coeff_rows(self.lo, self.hi) for c in self.h])[..., None]
         C = [module.kappa_phi_coeff(i) for i in range(f)]
-        b, obstruction = phi_transport(ctx.field, p, [(p - 1) * c for c in module.c], C, self.lo, self.hi, h, t=self.t)
+        t = None if self.t is None else self.t.row()[:, None]
+        b, obstruction = phi_transport(ctx.field, p, [(p - 1) * c for c in module.c], C, self.lo, self.hi, h, t=t)
         self.b = b[..., 0]
         self.cycle_violation = ctx.field.from_row(obstruction[:, 0]) if self.has_kernel else None
 
@@ -601,100 +608,99 @@ class PhiTransport:
         return self.ctx.tate([self.ctx.pi(e) for e in self.estar])
 
 
-@dataclass
-class TailLayout:
-    """Fixed functional layout for coboundary residual vectors over one module."""
+def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False) -> np.ndarray:
+    """The encoded residual matrix of 'E plus the coboundary of b vanishes below the
+    thresholds', built in one batched pass: one transport, the phi rows gathered by
+    index arrays and the generator rows through one batched gamma action.
 
-    module: RankOneModule
-    floor_ref: int
-    band_lo: int
-    res_hi: int
-
-    @classmethod
-    def for_cocycles(cls, module: RankOneModule, cocycles, extra_floor=None):
-        ctx = module.ctx
-        floors = [0]
-        orders = [ctx.M]
-        for c in cocycles:
-            for comp in list(c.mu_phi.comps) + [x for mg in c.mu_gen.values() for x in mg.comps]:
-                floors.append(min(comp.low, 0))
-                orders.append(comp.order)
-        fl = min(floors)
-        if extra_floor is not None:
-            fl = min(fl, extra_floor)
-        estar = module.fixed_cycle()
-        if estar is not None:
-            fl = min([fl] + [e - 1 for e in estar])
-        fl = int(fl)
-        band_lo = ctx.p * fl - max((ctx.p - 1) * ci for ci in module.c) - 1 if fl < 0 else 0
-        res_hi = int(min(min(orders), ctx.M, max(4 * ctx.p * ctx.p, -4 * fl)))
-        return cls(module, fl, band_lo, res_hi)
-
-
-class _ResidualData:
-    """Residual functionals of the coboundary equation for one cocycle: the
-    crossing-band values, the cycle obstruction, and the gamma residual series
-    (kept as series so that a common reliable window can be chosen later)."""
-
-    __slots__ = ("cross", "cycle", "rhos", "min_order")
-
-    def __init__(self, cross, cycle, rhos):
-        self.cross = cross
-        self.cycle = cycle
-        self.rhos = rhos
-        self.min_order = int(min(min(comp.order for comp in rho.comps) for rho in rhos)) if rhos else None
-
-    def vector(self, G, lo, hi):
-        pieces = [self.cross]
-        if self.cycle is not None:
-            pieces.append(np.array([self.cycle], dtype=np.int64))
-        for rho in self.rhos:
-            for comp in rho.comps:
-                pieces.append(G.encode_rows(comp.coeff_rows(lo, hi)))
-        return np.concatenate(pieces)
-
-
-def _residual_data(layout: TailLayout, c: Cocycle, t_probe=False) -> _ResidualData:
-    """Linear in c (and in the kernel parameter t); identically zero iff c is a
-    coboundary whose witness lies in the probed window."""
-    module = layout.module
+    b lives on [floor, Ub_i) (Ub defaults to theta_phi).  Below theta_phi_i it is
+    transported from -mu_phi(E); a parameter (i, n), n >= theta_phi_i, is free.  Rows:
+    phi on [p floor - max_i (p-1)c_i - 1, theta_phi_i), the fixed-cycle obstruction
+    slot (C = 1 and the cycle below theta_phi), then for each generator name and
+    component i the rows on [floor, theta_gen[name][i]).  Columns: one per cocycle E,
+    one per parameter (a unit coefficient), and with ``kernel`` one for the kernel
+    line of the phi-transport (b = pi^e* on the fixed cycle)."""
     ctx = module.ctx
-    f = ctx.f
-    window = dict(lo=layout.band_lo, hi=layout.res_hi)
-    if t_probe:
-        tr = PhiTransport(module, [ctx.zero_series(ctx.M)] * f, t=ctx.field.one(), **window)
-        if not tr.has_kernel:
-            raise ValueError("no kernel to probe")
-    else:
-        tr = PhiTransport(module, list(c.mu_phi.comps), **window)
-    # crossing band [band_lo, floor_ref), below the fixed cycle: nonzero values
-    # here certify an infinite descending tail
-    band = tr.b[:, layout.band_lo - tr.lo : layout.floor_ref - tr.lo]
-    cross = gf(ctx.field).encode_rows(band.reshape(-1, ctx.field.m))
-    cycle = None
-    if tr.has_kernel:
-        cycle = tr.cycle_violation.index() if tr.cycle_violation is not None else 0
-    b = tr.series(layout.floor_ref, layout.res_hi)
-    rhos = []
-    for name, gamma in ctx.generators():
-        kg = module.kappa_gamma(gamma)
-        rho = kg * ctx.gamma_act(gamma, b) - b
-        if not t_probe:
-            rho = rho - c.mu_gen[name]
-        rhos.append(rho)
-    return _ResidualData(cross, cycle, rhos)
+    field, G = ctx.field, gf(ctx.field)
+    f, p, m = ctx.f, ctx.p, field.m
+    Ub = theta_phi if Ub is None else Ub
+    if max(Ub) > ctx.M:
+        raise PrecisionError("window order %d is below the system thresholds" % ctx.M)
+    shifts = [(p - 1) * ci for ci in module.c]
+    Ci = [module.kappa_phi_coeff(i) for i in range(f)]
+    estar = module.fixed_cycle()
+    cycle_slot = estar is not None and all(e < t for e, t in zip(estar, theta_phi)) and module.C == field.one()
+    E = list(cocycles)
+    nE, B = len(E), len(E) + len(params) + kernel
+    # the transport window [lo, hi) holds every parameter and every source of a node in it
+    lo, hi = min(floor, 1 - p, *theta_phi), max(Ub)
+    h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
+    for k, c in enumerate(E):
+        for i in range(f):
+            h[i, : max(theta_phi[i] - lo, 0), :, k] = -c.mu_phi[i].coeff_rows(lo, theta_phi[i]) % p
+    if params:
+        comp, e = np.array(params).T
+        h[comp, e - lo, 0, nE + np.arange(len(params))] = p - 1
+    cycle_value = np.zeros((m, B), dtype=np.int64)
+    cycle_value[0, nE + len(params) :] = 1  # the kernel column
+    b, obstruction = phi_transport(field, p, shifts, Ci, lo, hi, h, free=theta_phi, t=cycle_value)
+    del h
+    b[:, : floor - lo] = 0  # the coboundary is b on [floor, Ub)
+    # the matrix, filled block by block
+    phi_lo = p * floor - max(shifts) - 1
+    gens = [(name, i, theta[i]) for name, theta in theta_gen.items() for i in range(f)]
+    heights = [t - phi_lo for t in theta_phi] + [1] * cycle_slot + [t - floor for _, _, t in gens]
+    heights = [max(n, 0) for n in heights]
+    out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
+    blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
+    for i in range(f):
+        rows = next(blocks)
+        e = np.arange(phi_lo, theta_phi[i])
+        num = e - shifts[i]
+        src = num // p
+        ok = (num % p == 0) & (src >= lo) & (src < hi)
+        own = e >= lo
+        rows[ok] = G.encode_rows(field.mul_matrix(Ci[i]) @ b[(i + 1) % f, src[ok] - lo])
+        rows[own] = G.sub(rows[own], G.encode_rows(b[i, e[own] - lo]))
+        for k, c in enumerate(E):
+            rows[:, k] = G.add(rows[:, k], G.encode_rows(c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i])))
+    if cycle_slot:
+        next(blocks)[:] = G.encode_rows(obstruction[None])
+    for name, i, theta in gens:
+        rows = next(blocks)
+        if theta <= floor:
+            continue
+        gamma = ctx.eta if name == "eta" else ctx.xi
+        img = ctx.op_lambda_gamma_rows(gamma, module.sigma(i), b[i, floor - lo : theta - lo], floor, theta)
+        for k, c in enumerate(E):
+            img[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta)
+        rows[:] = G.encode_rows(img)
+    return out
 
 
-def _residual_matrix(layout: TailLayout, datas):
-    """Stack residual vectors on the common reliable window; returns (A, hi)."""
-    ctx = layout.module.ctx
-    G = gf(ctx.field)
-    hi = min([layout.res_hi] + [d.min_order for d in datas if d.min_order is not None])
-    est = layout.module.fixed_cycle()
-    needed = 1 + max([1] + ([e for e in est] if est else []))
-    if hi < needed:
-        raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (layout.floor_ref, hi))
-    return np.stack([d.vector(G, layout.floor_ref, hi) for d in datas], axis=1), hi
+def _coboundary_window(module: RankOneModule, cocycles, floor=None):
+    """(floor, hi) of the coboundary residuals of some cocycles.  The floor is at most
+    0, every component's lowest exponent, one below the fixed cycle, and ``floor``;
+    hi is at most every component's order, M, max(4p^2, -4 floor) and M + floor (so
+    lambda's rows stay in its window)."""
+    ctx = module.ctx
+    comps = [x for c in cocycles for y in (c.mu_phi, *c.mu_gen.values()) for x in y.comps]
+    estar = module.fixed_cycle() or ()
+    fl = int(min([0] + [x.low for x in comps] + [e - 1 for e in estar] + ([] if floor is None else [floor])))
+    hi = int(min([ctx.M, max(4 * ctx.p**2, -4 * fl), ctx.M + fl] + [x.order for x in comps]))
+    if hi < 1 + max([1, *estar]):
+        raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (fl, hi))
+    return fl, hi
+
+
+def _coboundary_system(module: RankOneModule, fl: int, hi: int, cocycles, kernel=True) -> np.ndarray:
+    """``residual_system`` with every threshold at hi, for the generators of the
+    context; with ``kernel``, plus the kernel column when the module has a kernel
+    line (C = 1 and a fixed cycle)."""
+    ctx = module.ctx
+    theta = [hi] * ctx.f
+    kernel = kernel and module.C == ctx.field.one() and module.fixed_cycle() is not None
+    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel)
 
 
 @dataclass
@@ -711,59 +717,50 @@ class CoboundaryResult:
 def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
     """Decide whether c is a coboundary; on success the witness b is returned.
 
-    The phi-equation is solved exactly by exponent transport; failure is
-    certified either by an infinite descending tail, by the fixed-cycle
-    obstruction, or by a nonzero gamma residual."""
+    The residual of c plus the coboundary of its transported b vanishes exactly
+    when c is a coboundary with a witness in the window; on a kernel line the
+    parameter t of the witness is fitted first.  Failure is certified by a nonzero
+    phi row (an infinite descending tail), the fixed-cycle obstruction, or a
+    nonzero gamma residual."""
     module = c.module
     ctx = module.ctx
-    Gf = gf(ctx.field)
     try:
-        layout = TailLayout.for_cocycles(module, [c], extra_floor=floor)
-        data = _residual_data(layout, c)
+        fl, hi = _coboundary_window(module, [c], floor)
+        A = _coboundary_system(module, fl, hi, [c])
         t = None
-        if data.cycle is not None:  # a kernel line: fit its parameter t
-            kdata = _residual_data(layout, c, t_probe=True)
-            A, hi = _residual_matrix(layout, [data, kdata])
-            target, kcol = A[:, 0], A[:, 1]
-            sol, _ = Gf.solve(kcol.reshape(-1, 1), Gf.NEG[target].astype(np.int64))
+        if A.shape[1] > 1:  # a kernel line: fit its parameter t
+            sol, _ = gf(ctx.field).solve(A[:, 1:], A[:, 0])
             if sol is None:
                 return CoboundaryResult("no", reason="residual outside the kernel line", checked_to=hi)
             t = ctx.field.from_index(int(sol[0]))
-        else:
-            A, hi = _residual_matrix(layout, [data])
-            if A.any():
-                return CoboundaryResult("no", reason="nonzero residual functional", checked_to=hi)
-        tr = PhiTransport(module, list(c.mu_phi.comps), t=t, lo=layout.floor_ref, hi=hi)
-        if tr.cycle_violation:
-            return CoboundaryResult("no", reason="cycle obstruction", checked_to=hi)
-        return CoboundaryResult("yes", witness=tr.series(layout.floor_ref, hi), checked_to=hi)
+        elif A.any():
+            return CoboundaryResult("no", reason="nonzero residual functional", checked_to=hi)
+        tr = PhiTransport(module, list(c.mu_phi.comps), t=t, lo=fl, hi=hi)
+        return CoboundaryResult("yes", witness=tr.series(fl, hi), checked_to=hi)
     except PrecisionError as exc:
         return CoboundaryResult("inconclusive", reason=str(exc))
 
 
 def span_decompose(c: Cocycle, basis: ModuleBasis = None):
-    """Coordinates beta with c - sum beta_k B_k a coboundary, or None (NotInSpan)."""
+    """Coordinates beta with c - sum beta_k B_k a coboundary, or None (NotInSpan).
+    The residual columns of the basis (and of the kernel line) are built once per
+    window; the target is one more column."""
     module = c.module
     basis = basis or basis_for(module)
     ctx = module.ctx
-    Gf = gf(ctx.field)
-    layout = TailLayout.for_cocycles(module, [c] + list(basis.elements))
-    target_data = _residual_data(layout, c)
-    key = (layout.floor_ref, layout.band_lo, layout.res_hi)
+    key = _coboundary_window(module, [c, *basis.elements])
     if key not in basis._residual_cache:
-        datas = [_residual_data(layout, B) for B in basis.elements]
-        if datas[0].cycle is not None:  # the module has a kernel line
-            datas.append(_residual_data(layout, basis.elements[0], t_probe=True))
-        basis._residual_cache[key] = datas
-    datas = basis._residual_cache[key]
-    A, hi = _residual_matrix(layout, datas + [target_data])
-    target = A[:, -1]
-    A = A[:, :-1]
-    sol, _null = Gf.solve(A, target)
+        A = _coboundary_system(module, *key, basis.elements)
+        rows = A.any(axis=1)  # most rows vanish on every column; the cache keeps the others
+        basis._residual_cache[key] = rows, A[rows]
+    rows, A = basis._residual_cache[key]
+    target = _coboundary_system(module, *key, [c], kernel=False)[:, 0]
+    if target[~rows].any():  # a residual that no column reaches
+        return None
+    sol, _null = gf(ctx.field).solve(A, target[rows])
     if sol is None:
         return None
-    coords = tuple(ctx.field.from_index(int(v)) for v in sol[: len(basis)])
-    return basis.ext_class(coords)
+    return basis.ext_class(tuple(ctx.field.from_index(int(v)) for v in sol[: len(basis)]))
 
 
 def random_cocycle(module: RankOneModule, rng, depth=None) -> Cocycle:

@@ -86,12 +86,32 @@ def _width(rows: np.ndarray) -> int:
     return len(cols) - cols[::-1].index(True) if True in cols else 0
 
 
-def _pack(rows: np.ndarray, d: int, w: int, slot: int) -> int:
-    """sum rows[i, s] 2^(8 slot (i w + s)) over the first d columns, from little-endian bytes."""
+def _pack(rows: np.ndarray, w: int, slot: int) -> int:
+    """sum rows[i, s] 2^(8 slot (i w + s)), from little-endian bytes."""
+    k, d = rows.shape
     vb = min(slot, 8)  # entries are < p and (p-1)^2 fits in a slot
-    buf = np.zeros((len(rows), w, slot), dtype=np.uint8)
-    buf[:, :d, :vb] = np.ascontiguousarray(rows[:, :d], dtype="<i8").view(np.uint8).reshape(len(rows), d, 8)[..., :vb]
+    buf = np.zeros((k, w, slot), dtype=np.uint8)
+    buf[:, :d, :vb] = np.ascontiguousarray(rows, dtype="<i8").view(np.uint8).reshape(k, d, 8)[..., :vb]
     return int.from_bytes(buf.tobytes(), "little")
+
+
+def convolve_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The product in F_p[pi, x] of (ka, da) and (kb, db) coefficient arrays (rows the
+    powers of pi, columns those of x), of shape (ka + kb - 1, da + db - 1), by exact
+    Kronecker substitution: each operand becomes one Python int with x at one slot and pi
+    at a stride of w = da + db - 1 slots, so one int product holds every coefficient.  A
+    slot is a whole number of bytes above min(ka, kb) min(da, db) (p-1)^2, so no carry
+    crosses it."""
+    a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
+    (ka, da), (kb, db) = a.shape, b.shape
+    n, w = max(ka + kb - 1, 0), max(da + db - 1, 0)
+    if not (n and da and db):
+        return np.zeros((n, w), dtype=np.int64)
+    slot = ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8
+    prod = _pack(a, w, slot) * _pack(b, w, slot)
+    digits = np.frombuffer(prod.to_bytes(n * w * slot, "little"), dtype=np.uint8).reshape(n, w, slot)
+    weights = np.array([pow(256, j, p) for j in range(slot)], dtype=np.int64)
+    return digits.astype(np.int64) @ weights % p  # slot value mod p, in int64 under any promotion rules
 
 
 @dataclass(frozen=True)
@@ -287,24 +307,16 @@ class Field:
         return FieldElement(self, tuple(prod + [0] * (self.m - len(prod))))
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m), by exact
-        Kronecker substitution: each operand becomes one Python int with x at one slot and pi
-        at a stride of w = d_a + d_b - 1 slots (d: highest nonzero column + 1), so one int
-        product holds every coefficient of a * b before reduction by the modulus.  A slot
-        is a whole number of bytes above min(ka, kb) min(d_a, d_b) (p-1)^2, so no carry crosses it."""
+        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m): the
+        ``convolve_rows`` product of their nonzero columns (up to the highest), reduced
+        by the modulus."""
         p, m = self.p, self.m
         a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
-        n = max(len(a) + len(b) - 1, 0)
         da, db = _width(a), _width(b)
         if not (da and db):
-            return np.zeros((n, m), dtype=np.int64)
-        w = da + db - 1
-        slot = ((min(len(a), len(b)) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8
-        prod = _pack(a, da, w, slot) * _pack(b, db, w, slot)
-        digits = np.frombuffer(prod.to_bytes(n * w * slot, "little"), dtype=np.uint8).reshape(n, w, slot)
-        weights = np.array([pow(256, j, p) for j in range(slot)], dtype=np.int64)
-        vals = digits.astype(np.int64) @ weights % p  # slot value mod p, in int64 under any promotion rules
-        return vals @ self._red[:w] % p  # rows k < m of _red are x^k: an F_p factor (w <= m) is only padded
+            return np.zeros((max(len(a) + len(b) - 1, 0), m), dtype=np.int64)
+        prod = convolve_rows(a[:, :da], b[:, :db], p)
+        return prod @ self._red[: da + db - 1] % p  # rows k < m of _red are x^k: an F_p factor is only padded
 
     def mul_matrix(self, c) -> np.ndarray:
         """The m x m F_p matrix of x -> c x on coefficient columns:

@@ -178,7 +178,7 @@ class LaurentSeries:
         return out
 
     def support(self):
-        return [self.floor + i for i in range(len(self.rows)) if self.rows[i].any()]
+        return (self.floor + np.flatnonzero(self.rows.any(axis=1))).tolist()
 
     def items(self):
         for i in range(len(self.rows)):

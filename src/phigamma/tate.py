@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, FieldElement
+from .field import Field, FieldElement, convolve_rows
 from .series import INF, LaurentSeries, PadicInteger, PrecisionError, nth_root_unit, one_plus_pi_pow, pascal_size, pascal_transform
 
 
@@ -338,18 +338,15 @@ class Context:
 
     def op_lambda_gamma_rows(self, gamma: GammaElement, sigma: int, x: np.ndarray, floor: int, order: int) -> np.ndarray:
         """(lambda_gamma^sigma * gamma - 1) on a batch of series given as in
-        ``gamma_act_rows``, exact on [floor, order).  lambda has F_p coefficients,
-        so the product is an integer matmul with its lower-triangular Toeplitz
-        matrix, taken in row blocks of at most _WORK entries."""
+        ``gamma_act_rows``, exact on [floor, order).  lambda has F_p coefficients, so
+        one ``convolve_rows`` product with it takes every nonzero F_p column of the
+        batch as its own x-slot, and the columns do not mix."""
         n = order - floor
-        lam = self.lambda_pow(gamma, sigma).coeff_rows(0, n)[:, 0]
+        lam = self.lambda_pow(gamma, sigma).coeff_rows(0, n)[:, :1]
         img = self.gamma_act_rows(gamma, x, floor, order).reshape(n, -1)
-        out = np.zeros_like(img)
         cols = np.flatnonzero(img.any(axis=0))
-        step = max(1, _WORK // n)
-        for r in range(0, n, step):
-            lag = np.arange(r, min(r + step, n))[:, None] - np.arange(n)
-            out[r : r + step, cols] = np.where(lag >= 0, lam[np.maximum(lag, 0)], 0) @ img[:, cols]
+        out = np.zeros_like(img)
+        out[:, cols] = convolve_rows(lam, img[:, cols], self.p)[:n]
         return (out.reshape(x.shape) - x) % self.p
 
     def op_lambda_gamma_monomial(self, gamma: GammaElement, sigma: int, e: int, out_order=None) -> LaurentSeries:
@@ -404,7 +401,7 @@ def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> Lauren
     return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)), q)
 
 
-def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: FieldElement = None):
+def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: np.ndarray = None):
     """Solve C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e] for b_i[e], i in Z/f, e in [lo, hi).
 
     h has shape (f, hi - lo, m, B): B right-hand sides solved at once.  A node
@@ -413,10 +410,11 @@ def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarr
     source, so the nodes are filled in order of chain depth, one gather and one
     batch of m x m products C_i per level.  Chains that reach no root end in the
     fixed cycle, where (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k.  When
-    prod C = 1 that sum is the obstruction returned, and u_0 = t (default 0)
-    where it vanishes, 0 elsewhere.  u_0 sits on the cycle node of the lowest
-    component and the cycle is filled forward from it, so a nonzero obstruction
-    shows as the one failed equation at the cycle's last node.
+    prod C = 1 that sum is the obstruction returned, and u_0 = t (an (m, B)
+    array, one value per right-hand side; default 0) where it vanishes, 0
+    elsewhere.  u_0 sits on the cycle node of the lowest component and the cycle
+    is filled forward from it, so a nonzero obstruction shows as the one failed
+    equation at the cycle's last node.
     Returns b, of the shape of h, and the obstruction, of shape (m, B)."""
     p, m = field.p, field.m
     f, W, _, B = h.shape
@@ -459,7 +457,7 @@ def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarr
             prod = prod * C[comp[n]]
         if prod == field.one():
             obstruction = acc % p
-            u = np.where(obstruction.any(axis=0), 0, (t or field.zero()).row()[:, None])
+            u = np.where(obstruction.any(axis=0), 0, 0 if t is None else t)
         else:
             u = field.mul_matrix((prod - 1).inv()) @ acc % p
         for n in cycle:  # forward round the cycle, u_{k+1} = C_k^-1 (u_k + h_k)

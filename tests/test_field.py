@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phigamma import FieldError, FieldSpec, frobenius, make_field
-from phigamma.field import default_modulus
+from phigamma.field import convolve_rows, default_modulus
 
 
 def test_prime_field_arithmetic():
@@ -177,3 +177,40 @@ def test_mul_rows_slot_widths(p, m, ka, kb, da, db, width):
     if p > 2**20:  # every coefficient at its maximum: the carries the slots must absorb
         full = np.full((ka, m), p - 1, dtype=np.int64)
         assert np.array_equal(field.mul_rows(full, full), int_mul_rows(field, full, full))
+
+
+def int_convolve_rows(a, b, p):
+    """Reference product in F_p[pi, x] in Python ints, exact for any p."""
+    acc = [[0] * (a.shape[1] + b.shape[1] - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a.tolist()):
+        for j, rb in enumerate(b.tolist()):
+            for s, x in enumerate(ra):
+                if x:
+                    for t, y in enumerate(rb):
+                        acc[i + j][s + t] += x * y
+    return np.array([[c % p for c in row] for row in acc], dtype=np.int64).reshape(len(acc), -1)
+
+
+@pytest.mark.parametrize(
+    "p,ka,kb,da,db",
+    [
+        (2, 5, 7, 1, 1),
+        (5, 40, 33, 4, 3),
+        (5, 60, 50, 1, 80),  # 80 x-slots of one F_p factor, as in op_lambda_gamma_rows
+        (65521, 30, 40, 2, 3),
+        (2**31 - 1, 300, 280, 1, 3),  # 9-byte slots
+        (2**31 - 1, 120, 130, 3, 3),
+    ],
+)
+def test_convolve_rows_matches_int_reference(p, ka, kb, da, db):
+    gen = np.random.default_rng(ka * kb + p)
+    a, b = gen.integers(0, p, (ka, da)), gen.integers(0, p, (kb, db))
+    a[0], b[0] = p - 1, p - 1  # the largest entries reach the top of the slot
+    b[:, 1::3] = 0  # zero x-slots between nonzero ones
+    got = convolve_rows(a, b, p)
+    assert got.shape == (ka + kb - 1, da + db - 1)
+    assert np.array_equal(got, int_convolve_rows(a, b, p))
+    if p > 2**30:
+        assert ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8 == 9
+    # entries of any sign mean their residues mod p
+    assert np.array_equal(convolve_rows(a - p, b + 2 * p, p), got)

@@ -208,3 +208,21 @@ def test_truncate_frees_rows_beyond_the_window():
         while rows.base is not None:
             rows = rows.base
         assert rows.nbytes <= (95 - cut.floor) * 2 * 8
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (5, 3)])
+def test_support_matches_rowwise_scan(rng, p, m):
+    """support() against the row-at-a-time scan it replaced, on sparse series, on
+    spread-out rows from substitute_power, and on empty series."""
+    field = F(p, m)
+    cases = [LaurentSeries.zero(field), LaurentSeries.zero(field, 7), LaurentSeries.one(field)]
+    for _ in range(40):
+        lo = rng.randrange(-40, 10)
+        pairs = {e: field.random_element(rng) for e in range(lo, lo + rng.randrange(0, 60)) if rng.random() < 0.3}
+        s = LaurentSeries.from_pairs(field, pairs, rng.choice([INF, lo + 30]))
+        cases += [s, s.substitute_power(p).shift(-3), -s]
+    for s in cases:
+        want = [s.floor + i for i in range(len(s.rows)) if s.rows[i].any()]
+        got = s.support()
+        assert got == want and all(type(e) is int for e in got)
+    assert LaurentSeries.zero(field).support() == []

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
@@ -190,3 +191,31 @@ def test_gamma_act_matches_direct_composition(p, f, m):
             assert got.agrees_with(want)
     with pytest.raises(PrecisionError):  # a pole series known only below pi^0
         ctx.gamma_act_series(ctx.eta, LaurentSeries.from_pairs(ctx.field, {L - 1: 1, -1: 1}, -1))
+
+
+@pytest.mark.parametrize("p,f,m", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (5, 1, 3)])
+def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
+    """The batched (lambda^sigma gamma - 1), one convolve_rows product for the whole
+    batch, against op_lambda_gamma on each column: wide batches of series with
+    poles, some columns zero and some with F_p coefficients only."""
+    ctx = ctx_for(p, f, m)
+    F = ctx.field
+    rng = random.Random(7000 * p + 10 * f + m)
+    gen = np.random.default_rng(7000 * p + 10 * f + m)
+    windows = [(ctx.L, ctx.M + ctx.L), (-3 * p, 2 * p * p), (0, ctx.M), (-1, 5)]
+    for gamma in [ctx.eta, ctx.xi]:
+        for floor, order in windows:
+            sigma = rng.randrange(p**f)
+            B = 40
+            x = gen.integers(0, p, (order - floor, m, B))
+            x[:, :, 1::5] = 0  # zero columns
+            x[:, 1:, 2::5] = 0  # F_p coefficients only
+            x[max(-floor, 0) :, :, 3::5] = 0  # poles only
+            x[:, :, 4::5] *= gen.random((order - floor, 1, 1)) < 0.05  # sparse
+            got = ctx.op_lambda_gamma_rows(gamma, sigma, x, floor, order)
+            assert got.shape == x.shape
+            for k in range(B):
+                s = LaurentSeries(F, floor, order, x[:, :, k])
+                want = ctx.op_lambda_gamma(gamma, sigma, s, out_order=order)
+                assert want.order >= order
+                assert np.array_equal(got[:, :, k], want.coeff_rows(floor, order)), (gamma, floor, order, k)

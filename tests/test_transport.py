@@ -3,17 +3,21 @@
 The reference code below is the former memoized chain walk, one FieldElement
 at a time: ``RefPhiTransport`` (the old ``cocycle.PhiTransport``),
 ``ref_unit_step`` (the old ``tate._solve_c_phi_minus_one``), ``ref_bounded_values``
-(the old ``BoundedSystem._transport``) and ``ref_bounded_column`` (the old
-column-at-a-time ``BoundedSystem.run``).
+(the old ``BoundedSystem._transport``), ``ref_bounded_column`` (the old
+column-at-a-time ``BoundedSystem.run``), and ``ref_is_coboundary`` and
+``ref_span_decompose``, the old coboundary tests: a tail layout and the residual
+functionals of one cocycle at a time, the gamma residuals as whole series.
 """
+import copy
 import random
 
 import numpy as np
 import pytest
 
-from phigamma import LaurentSeries, NonBijectiveError, RankOneModule, basis_for, weight_profiles
+from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, RankOneModule, basis_for, coboundary, is_coboundary, span_decompose, weight_profiles
 from phigamma.bounded import BoundedSystem
 from phigamma.cocycle import PhiTransport
+from phigamma.gflinalg import gf
 from phigamma.tate import _solve_c_phi_minus_one, phi_transport, solve_phi_unit_tail
 
 from conftest import ctx_for
@@ -221,6 +225,87 @@ def ref_bounded_column(sys_, E=None, param_index=None):
     return np.concatenate(pieces)
 
 
+def ref_layout(module, cocycles, extra_floor=None):
+    """(floor, band_lo, res_hi) of the old tail layout."""
+    ctx = module.ctx
+    floors, orders = [0], [ctx.M]
+    for c in cocycles:
+        for comp in list(c.mu_phi.comps) + [x for mg in c.mu_gen.values() for x in mg.comps]:
+            floors.append(min(comp.low, 0))
+            orders.append(comp.order)
+    fl = min(floors) if extra_floor is None else min(min(floors), extra_floor)
+    estar = module.fixed_cycle()
+    if estar is not None:
+        fl = min([fl] + [e - 1 for e in estar])
+    fl = int(fl)
+    band_lo = ctx.p * fl - max((ctx.p - 1) * ci for ci in module.c) - 1 if fl < 0 else 0
+    return fl, band_lo, int(min(min(orders), ctx.M, max(4 * ctx.p * ctx.p, -4 * fl)))
+
+
+def ref_residual_data(module, layout, c, t_probe=False):
+    """(crossing band, cycle obstruction, gamma residual series) of one cocycle, or of
+    the kernel line (t = 1) with ``t_probe``: linear in c, identically zero iff c is
+    a coboundary whose witness lies in the window."""
+    ctx = module.ctx
+    F, f = ctx.field, ctx.f
+    fl, band_lo, res_hi = layout
+    if t_probe:
+        tr = RefPhiTransport(module, [ctx.zero_series(ctx.M)] * f, t=F.one())
+    else:
+        tr = RefPhiTransport(module, list(c.mu_phi.comps))
+    rows = [[tr.coeff(i, e).row() for e in range(band_lo, fl)] for i in range(f)]
+    cross = gf(F).encode_rows(np.array(rows, dtype=np.int64).reshape(-1, F.m))
+    cycle = tr.cycle_violation.index() if tr.has_kernel else None
+    b = ctx.tate([LaurentSeries(F, fl, res_hi, np.array([tr.coeff(i, e).row() for e in range(fl, res_hi)])) for i in range(f)])
+    rhos = []
+    for name, gamma in ctx.generators():
+        rho = module.kappa_gamma(gamma) * ctx.gamma_act(gamma, b) - b
+        rhos.append(rho if t_probe else rho - c.mu_gen[name])
+    return cross, cycle, rhos
+
+
+def ref_residual_matrix(module, layout, datas):
+    """The residual vectors on their common reliable window, stacked as columns."""
+    G = gf(module.ctx.field)
+    fl, _, res_hi = layout
+    hi = min([res_hi] + [int(comp.order) for _, _, rhos in datas for rho in rhos for comp in rho.comps])
+    if hi < 1 + max([1] + list(module.fixed_cycle() or ())):
+        raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (fl, hi))
+    cols = []
+    for cross, cycle, rhos in datas:
+        pieces = [cross] + ([np.array([cycle])] if cycle is not None else [])
+        pieces += [G.encode_rows(comp.coeff_rows(fl, hi)) for rho in rhos for comp in rho.comps]
+        cols.append(np.concatenate(pieces))
+    return np.stack(cols, axis=1)
+
+
+def ref_is_coboundary(c, floor=None):
+    module = c.module
+    G = gf(module.ctx.field)
+    try:
+        layout = ref_layout(module, [c], floor)
+        data = ref_residual_data(module, layout, c)
+        if data[1] is None:
+            return "no" if ref_residual_matrix(module, layout, [data]).any() else "yes"
+        A = ref_residual_matrix(module, layout, [data, ref_residual_data(module, layout, c, t_probe=True)])
+        sol, _ = G.solve(A[:, 1:], G.NEG[A[:, 0]].astype(np.int64))
+        return "no" if sol is None else "yes"
+    except PrecisionError:
+        return "inconclusive"
+
+
+def ref_span_decompose(c, elements):
+    module = c.module
+    F = module.ctx.field
+    layout = ref_layout(module, [c] + list(elements))
+    datas = [ref_residual_data(module, layout, B) for B in elements]
+    if datas[0][1] is not None:  # the module has a kernel line
+        datas.append(ref_residual_data(module, layout, elements[0], t_probe=True))
+    A = ref_residual_matrix(module, layout, datas + [ref_residual_data(module, layout, c)])
+    sol, _ = gf(F).solve(A[:, :-1], A[:, -1])
+    return None if sol is None else tuple(F.from_index(int(v)) for v in sol[: len(elements)])
+
+
 # -- inputs --------------------------------------------------------------------------------
 
 
@@ -357,3 +442,45 @@ def test_bounded_run_with_a_shallow_tail_floor():
         for J in [(), (0,), (1,), (0, 1)]:
             for prof in weight_profiles(M, J):
                 assert_run_matches_reference(M, prof)
+
+
+def random_tate(ctx, rng, lo, hi):
+    return ctx.tate([random_series(ctx, rng, lo, hi, ctx.M) for _ in range(ctx.f)])
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_coboundary_tests_match_series_reference(p, f):
+    """is_coboundary statuses and span_decompose coordinates (or None) against the
+    series-at-a-time reference: basis elements, random coboundaries and sums,
+    planted combinations, a floor= argument, the kernel modules (trivial,
+    cyclotomic) and B_tr against a basis without it.  A witness reproduces the
+    coboundary, its gamma part included."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(5000 * p + f)
+    seen_kernel = seen_none = False
+    for M in modules(ctx, rng):
+        basis = basis_for(M)
+        seen_kernel |= M.C == F.one() and M.fixed_cycle() is not None
+        cob = coboundary(M, random_tate(ctx, rng, -2 * p, p))
+        for x, floor in [(B, None) for B in basis.elements] + [(cob, None), (cob, -3 * p), (basis.elements[-1] + cob, None)]:
+            got = is_coboundary(x, floor)
+            assert got.status == ref_is_coboundary(x, floor), (M, x.label, floor)
+            if got.status == "yes":
+                again = coboundary(M, got.witness)
+                for name in x.mu_gen:
+                    assert again.mu_gen[name].agrees_with(x.mu_gen[name], None, got.checked_to), (M, name)
+                assert again.mu_phi.agrees_with(x.mu_phi, None, got.checked_to)
+        for _ in range(3):
+            x = basis.combination([F.random_element(rng) for _ in basis.elements]) + cob
+            want = ref_span_decompose(x, basis.elements)
+            assert want is not None and span_decompose(x).coords == want, M
+        if "B_tr" in basis.labels:
+            k = basis.labels.index("B_tr")
+            rest = [B for B in basis.elements if B.label != "B_tr"]
+            sub = copy.copy(basis)
+            sub.elements, sub.labels, sub._residual_cache = rest, tuple(B.label for B in rest), {}
+            x = basis.elements[k] + cob
+            assert span_decompose(x, sub) is None and ref_span_decompose(x, rest) is None, M
+            seen_none = True
+    assert seen_kernel and seen_none
