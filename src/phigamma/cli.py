@@ -3,7 +3,8 @@
 Configuration is a single JSON document (stdin or --config path); all defaults
 are echoed into the output for reproducibility.  Exit codes: 0 success,
 2 config error, 3 window-inconclusive, 4 precision exhaustion, 5 a lemma
-failed in ``verify``.
+failed in ``verify``, 6 an arithmetic check failed (a non-bijective operator,
+a failed Wach commutation, an elimination pivot); errors go to stderr as JSON.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from .field import Field, FieldSpec, default_modulus, make_field
 from .series import LaurentSeries, PrecisionError
 from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
-from .cocycle import basis_for
+from .cocycle import PivotError, basis_for
 from .bounded import vj_table
 from .gflinalg import TABLE_LIMIT
-from .wach import PadicContext, PadicSeries, WachRankTwo, build_wach_rank1, example71, reduce_mod_p, saturation_check
+from .wach import PadicContext, PadicSeries, WachRankTwo, build_wach_rank1, example71, reduce_mod_p, saturation_check, wach_gamma_table
 from .oracle import LEMMAS, sweep
 
 SCHEMA_VERSION = "1"
@@ -30,6 +31,7 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_PRECISION = 4
 EXIT_LEMMA_FAILED = 5
+EXIT_ARITHMETIC = 6
 
 
 class ConfigError(ValueError):
@@ -214,8 +216,9 @@ def cmd_wach(args) -> int:
         for c in product(range(ctx.p), repeat=ctx.f):
             if all(x == ctx.p - 1 for x in c):
                 continue
+            table = wach_gamma_table(pctx, c)
             for nameC, Ctil in Ctil_choices.items():
-                N = build_wach_rank1(pctx, Ctil, c)
+                N = build_wach_rank1(pctx, Ctil, c, table)
                 rep = reduce_mod_p(N)
                 key = "c=%s Ctilde=%s" % (list(c), nameC)
                 results[key] = {"match": rep.match, "cut_index": N.cut_index}
@@ -346,6 +349,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(json.dumps({"error": "precision exhausted: %s" % exc, "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return EXIT_PRECISION
+    except (ArithmeticError, PivotError) as exc:
+        print(json.dumps({"error": "%s: %s" % (type(exc).__name__, exc), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
+        return EXIT_ARITHMETIC
 
 
 if __name__ == "__main__":

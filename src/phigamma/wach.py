@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import Field
 from .series import INF, LaurentSeries, PrecisionError
@@ -193,14 +194,6 @@ class PadicSeries:
             return self
         return PadicSeries(self.ring, self.floor, order, self.rows)
 
-    def substitute_power(self, k):
-        order = self.order if self.order == INF else k * self.order
-        if self.is_zero():
-            return PadicSeries.zero(self.ring, order)
-        rows = np.zeros((k * (len(self.rows) - 1) + 1, self.ring.m), dtype=np.int64)
-        rows[::k] = self.rows
-        return PadicSeries(self.ring, k * self.floor, order, rows)
-
     def scale_row(self, row):
         if self.is_zero():
             return self
@@ -266,17 +259,18 @@ class PadicSeries:
         return "<padic floor=%s order=%s terms=%d>" % (self.floor, o, len(self.rows))
 
 
-_SUBST_CACHE = {}
-
-
 class PadicContext:
-    """Substitution caches for the integral side over one (field, depth, window)."""
+    """The integral side over one (field, depth, window), with the caches its Wach
+    modules share: substitution matrices by exponent, and per generator the
+    Gamma-units of every g-table."""
 
     def __init__(self, ctx: Context, depth=None, pi_order=None):
         self.ctx = ctx
         self.ring = PadicRing(ctx.field, depth or ctx.padic_depth)
         self.M = int(pi_order or ctx.M)
         self.p, self.f, self.m = ctx.p, ctx.f, ctx.m
+        self._subst = {}  # a -> _subst_matrix(a)
+        self._units = {}  # chi(gamma) -> GammaUnits
 
     def pi(self, n=1, order=INF):
         return PadicSeries.monomial(self.ring, n, [1] + [0] * (self.m - 1), order)
@@ -292,22 +286,26 @@ class PadicContext:
         return PadicSeries(self.ring, 0, order, coeffs)
 
     def _subst_matrix(self, a: int) -> np.ndarray:
-        """mat[n, e] = coefficient of pi^e in ((1+pi)^a - 1)^n, n, e in [0, M)."""
-        key = (self.ctx.field.key, self.ring.depth, self.M, a)
-        if key not in _SUBST_CACHE:
-            S = self.M
-            pN = self.ring.pN
-            wrow = self.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
-            wrow[0] = (wrow[0] - 1) % pN
-            mat = np.zeros((S, S), dtype=np.int64)
-            mat[0, 0] = 1
-            cur = np.zeros(S, dtype=np.int64)
-            cur[0] = 1
+        """matT[e, n] = coefficient of pi^e in w^n, w = (1+pi)^a - 1, n, e in [0, M),
+        in the smallest unsigned dtype that holds p^N - 1.  Column n is column n-1
+        times w: its copies shifted by the exponents j of the terms of w, weighted
+        by w_j.  It vanishes above row n, as w has valuation 1."""
+        if a not in self._subst:
+            S, pN = self.M, self.ring.pN
+            w = self.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
+            J = np.flatnonzero(w[1:]) + 1
+            matT = np.zeros((S, S), dtype=np.min_scalar_type(pN - 1))
+            matT[0, 0] = 1
+            buf = np.zeros(3 * S, dtype=np.int64)  # column n-1 on [S, 2S), zeros around it
+            buf[S] = 1
+            shifted = sliding_window_view(buf, S)  # row S + n - j: column n-1 moved down by j, from row n
             for n in range(1, S):
-                cur = np.convolve(cur, wrow)[:S] % pN
-                mat[n] = cur
-            _SUBST_CACHE[key] = mat
-        return _SUBST_CACHE[key]
+                col = w[J] @ shifted[S + n - J, : S - n] % pN
+                buf[S + n - 1] = 0
+                buf[S + n : 2 * S] = col
+                matT[n:, n] = col
+            self._subst[a] = matT
+        return self._subst[a]
 
     def substitute(self, s: PadicSeries, a: int) -> PadicSeries:
         """s(pi) -> s((1+pi)^a - 1); requires floor >= 0."""
@@ -316,10 +314,16 @@ class PadicContext:
         if s.low < 0:
             raise ValueError("integral substitution needs floor >= 0")
         order = int(min(s.order, self.M))
-        mat = self._subst_matrix(a)
-        head = s.coeff_rows(0, min(order, s.floor + len(s.rows)))
-        out = mat[: head.shape[0], :order].T @ head % self.ring.pN
-        return PadicSeries(self.ring, 0, order, out)
+        matT = self._subst_matrix(a)
+        lo = s.floor
+        top = max(lo, min(order, lo + len(s.rows)))
+        head = s.coeff_rows(lo, top)
+        out = np.zeros((order, self.m), dtype=np.int64)
+        for e in range(lo, order, 64):  # int64 blocks of 64 rows; row e needs the terms n <= e
+            hi = min(e + 64, order)
+            n = min(hi, top)
+            out[e:hi] = matT[e:hi, lo:n].astype(np.int64) @ head[: n - lo]
+        return PadicSeries(self.ring, 0, order, out % self.ring.pN)
 
     def phi(self, s: PadicSeries, k: int = 1) -> PadicSeries:
         """phi^k: substitution by (1+pi)^(p^k) - 1."""
@@ -333,6 +337,16 @@ class PadicContext:
         num = self.one_plus_pi_pow_int(self.p, order + 1) - PadicSeries.one(self.ring, order + 1)
         return num.shift(-1)
 
+    def q_over_gamma_q(self, gamma: GammaElement, order: int) -> PadicSeries:
+        """q/gamma(q) = w/phi(w) with w = gamma(pi)/pi."""
+        w = (self.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(self.ring, order + 1)).shift(-1)
+        return (w * self.phi(w).inv_unit(order)).truncate(order)
+
+    def units(self, gamma: GammaElement) -> "GammaUnits":
+        if gamma.chi_int not in self._units:
+            self._units[gamma.chi_int] = GammaUnits(self, gamma)
+        return self._units[gamma.chi_int]
+
 
 def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
     """Lambda_gamma as the truncated product prod_j phi^(jf)(w/phi(w)); returns
@@ -340,9 +354,7 @@ def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
     order = int(order or pctx.M)
     if gamma.chi_int == 1:
         return PadicSeries.one(pctx.ring, order), 0
-    w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
-    w = w.truncate(order)
-    ratio = (w * pctx.phi(w).inv_unit(order)).truncate(order)
+    ratio = pctx.q_over_gamma_q(gamma, order)
     one = PadicSeries.one(pctx.ring, order)
     acc = one
     factor = ratio
@@ -356,6 +368,26 @@ def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
     if acc.val() != 0:
         raise PrecisionError("Lambda_gamma is not a unit at this precision")
     return acc, cut
+
+
+class GammaUnits:
+    """The series that every g-table of one generator raises to digit powers, mod
+    pi^M: phi^k(Lambda_gamma) under key k < f, q, "gq" = gamma(q) and "ratio" =
+    q/gamma(q).  They depend on neither c nor Ctilde; powers are kept by exponent."""
+
+    def __init__(self, pctx: PadicContext, gamma: GammaElement):
+        self.order = pctx.M
+        lam, self.cut = big_lambda_gamma(pctx, gamma, self.order)
+        q = pctx.q_series(self.order)
+        self.bases = {0: lam, "q": q, "gq": pctx.gamma(q, gamma), "ratio": pctx.q_over_gamma_q(gamma, self.order)}
+        for k in range(1, pctx.f):
+            self.bases[k] = pctx.phi(self.bases[k - 1])
+        self.powers = {}
+
+    def pow(self, base, e: int) -> PadicSeries:
+        if (base, e) not in self.powers:
+            self.powers[base, e] = self.bases[base].pow(e, self.order)
+        return self.powers[base, e]
 
 
 @dataclass
@@ -373,11 +405,44 @@ class WachRankOne:
         return len(self.c)
 
 
-def build_wach_rank1(pctx: PadicContext, Ctilde, c) -> WachRankOne:
-    """Rank-one Wach module with the product formula for g_0 and the phi-chain
-    for the remaining g_i; the commutation identities are verified to precision."""
-    ctx = pctx.ctx
-    f, p = pctx.f, pctx.p
+def wach_gamma_table(pctx: PadicContext, c) -> tuple:
+    """(g_table, cut_index) of N_{Ctilde,c}, which do not depend on Ctilde: per
+    generator, g_0 from the product formula and the other g_i from the phi-chain;
+    the commutation identities are verified to precision."""
+    f, p, order = pctx.f, pctx.p, pctx.M
+    c = tuple(int(x) for x in c)
+    one = PadicSeries.one(pctx.ring, order)
+    g_table = {}
+    cut_max = 0
+    for name, gamma in pctx.ctx.generators():
+        units = pctx.units(gamma)
+        cut_max = max(cut_max, units.cut)
+        gs = [one] * f
+        for k in range(f):
+            if c[k]:
+                gs[0] = (gs[0] * units.pow(k, c[k])).truncate(order)
+        # chain: g_k = (q/gamma(q))^{c_k} phi(g_{k+1}), walking k = f-1 ... 1;
+        # phis[k] = phi(g_{k+1}) with indices mod f, so the check adds phi(g_1) alone
+        phis = [None] * f
+        for k in range(f - 1, 0, -1):
+            phis[k] = pctx.phi(gs[(k + 1) % f])
+            gs[k] = (units.pow("ratio", c[k]) * phis[k]).truncate(order)
+        phis[0] = pctx.phi(gs[1 % f])
+        # commutation check: gamma(q)^{c_k} g_k = q^{c_k} phi(g_{k+1})
+        for k in range(f):
+            lhs = (units.pow("gq", c[k]) * gs[k]).truncate(order - p)
+            rhs = (units.pow("q", c[k]) * phis[k]).truncate(order - p)
+            if not lhs.agrees_with(rhs):
+                raise ArithmeticError("Wach commutation failed at component %d for %s" % (k, name))
+        if not (gs[0] - one).is_zero() and (gs[0] - one).val() < 1:
+            raise ArithmeticError("g_0 is not 1 mod pi")
+        g_table[name] = gs
+    return g_table, cut_max
+
+
+def build_wach_rank1(pctx: PadicContext, Ctilde, c, table=None) -> WachRankOne:
+    """Rank-one Wach module N_{Ctilde,c}: the g-table of c (built here unless
+    passed in as the result of wach_gamma_table(pctx, c)) with the unit Ctilde."""
     c = tuple(int(x) for x in c)
     if isinstance(Ctilde, (int, np.integer)):
         row = np.zeros(pctx.m, dtype=np.int64)
@@ -385,43 +450,10 @@ def build_wach_rank1(pctx: PadicContext, Ctilde, c) -> WachRankOne:
         Ctilde = row
     else:
         Ctilde = np.asarray(Ctilde, dtype=np.int64) % pctx.ring.pN
-    if not pctx.ctx.field.from_row(Ctilde % p):
+    if not pctx.ctx.field.from_row(Ctilde % pctx.p):
         raise ValueError("Ctilde must be a unit")
-    g_table = {}
-    cut_max = 0
-    order = pctx.M
-    q = pctx.q_series(order)
-    for name, gamma in ctx.generators():
-        lam, cut = big_lambda_gamma(pctx, gamma, order)
-        cut_max = max(cut_max, cut)
-        g0 = PadicSeries.one(pctx.ring, order)
-        lam_phi = lam
-        for k in range(f):
-            if c[k]:
-                g0 = (g0 * lam_phi.pow(c[k], order)).truncate(order)
-            if k + 1 < f:
-                lam_phi = pctx.phi(lam_phi)
-        # chain: g_k = (q/gamma(q))^{c_k} phi(g_{k+1}), walking k = f-1 ... 1
-        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
-        ratio = (w * pctx.phi(w.truncate(order)).inv_unit(order)).truncate(order)  # = q / gamma(q)
-        gs = [None] * f
-        gs[0] = g0
-        prev = g0
-        for k in range(f - 1, 0, -1):
-            gs[k] = (ratio.pow(c[k], order) * pctx.phi(prev)).truncate(order)
-            prev = gs[k]
-        g_table[name] = gs
-        # commutation check: gamma(q)^{c_k} g_k = q^{c_k} phi(g_{k+1})
-        gq = pctx.gamma(q, gamma)
-        for k in range(f):
-            lhs = (gq.pow(c[k], order) * gs[k]).truncate(order - p)
-            rhs = (q.pow(c[k], order) * pctx.phi(gs[(k + 1) % f])).truncate(order - p)
-            if not lhs.agrees_with(rhs):
-                raise ArithmeticError("Wach commutation failed at component %d for %s" % (k, name))
-        if not (gs[0] - PadicSeries.one(pctx.ring, order)).is_zero():
-            if (gs[0] - PadicSeries.one(pctx.ring, order)).val() < 1:
-                raise ArithmeticError("g_0 is not 1 mod pi")
-    return WachRankOne(pctx, Ctilde, c, g_table, cut_max)
+    g_table, cut = table or wach_gamma_table(pctx, c)
+    return WachRankOne(pctx, Ctilde, c, g_table, cut)
 
 
 @dataclass

@@ -316,7 +316,7 @@ def test_criterion_7_oracle_sweeps():
 def test_criterion_8_wach_reduction():
     t0 = time.time()
     cells = 0
-    for p, f in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)]:
+    for p, f in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]:
         pctx = PadicContext(ctx_for(p, f))
         tei = pctx.ring.teichmuller(pctx.ctx.field.generator())
         for c in itertools.product(range(p), repeat=f):

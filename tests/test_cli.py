@@ -104,6 +104,36 @@ def test_verify_exits_5_when_a_lemma_fails(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "target,argv,cfg,exc,code",
+    [
+        ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, ArithmeticError("Wach commutation failed"), 6),
+        ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, ArithmeticError("g_0 is not 1 mod pi"), 6),
+        ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, ZeroDivisionError("not a unit in W/p^N"), 6),
+        ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, "PrecisionError", 4),
+        ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "PivotError", 6),
+        ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "NonBijectiveError", 6),
+    ],
+    ids=["commutation", "g0", "zero-division", "precision-stays-4", "pivot", "non-bijective"],
+)
+def test_arithmetic_failure_exits_with_json_error(target, argv, cfg, exc, code, tmp_path, monkeypatch, capsys):
+    from phigamma import cli
+
+    if isinstance(exc, str):
+        exc = getattr(phigamma, exc)("forced")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path)] + argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(exc) in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
     "args,cfg",
     [
         (["vj-table"], {"p": 3, "f": 2, "C": 2, "c": [1, 2], "stability_rerun": True}),

@@ -1,11 +1,14 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from phigamma import (
+    INF,
     LaurentSeries,
     PadicContext,
     PadicSeries,
+    PrecisionError,
     big_lambda_gamma,
     build_wach_rank1,
     example71,
@@ -14,6 +17,7 @@ from phigamma import (
     split_lattice,
     twist_rank_two,
 )
+from phigamma.wach import wach_gamma_table
 
 from conftest import ctx_for
 
@@ -140,3 +144,151 @@ def test_sigma_congruence_on_nonexact():
     q1 = 5 - 1
     assert (sat.b_prime[0] - N.b[0]) % q1 == 0
     assert sat.b_prime[0] <= N.b[0]
+
+
+# -- references: the dense substitution matrix and the per-lift Gamma-table -------------
+
+
+class DenseSubst:
+    """Reference substitution s(pi) -> s((1+pi)^a - 1): the dense M x M int64 matrix
+    mat[n, e] = coefficient of pi^e in w^n, built with M full-length np.convolve calls."""
+
+    def __init__(self, pctx):
+        self.pctx = pctx
+        self.mats = {}
+
+    def matrix(self, a):
+        if a not in self.mats:
+            pctx = self.pctx
+            S, pN = pctx.M, pctx.ring.pN
+            wrow = pctx.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
+            wrow[0] = (wrow[0] - 1) % pN
+            mat = np.zeros((S, S), dtype=np.int64)
+            mat[0, 0] = 1
+            cur = np.zeros(S, dtype=np.int64)
+            cur[0] = 1
+            for n in range(1, S):
+                cur = np.convolve(cur, wrow)[:S] % pN
+                mat[n] = cur
+            self.mats[a] = mat
+        return self.mats[a]
+
+    def substitute(self, s, a):
+        pctx = self.pctx
+        if s.is_zero():
+            return PadicSeries.zero(pctx.ring, min(s.order, pctx.M))
+        order = int(min(s.order, pctx.M))
+        head = s.coeff_rows(0, min(order, s.floor + len(s.rows)))
+        out = self.matrix(a)[: head.shape[0], :order].T @ head % pctx.ring.pN
+        return PadicSeries(pctx.ring, 0, order, out)
+
+    def phi(self, s, k=1):
+        return self.substitute(s, self.pctx.p**k)
+
+
+def reference_lambda(ref, gamma, order):
+    pctx = ref.pctx
+    if gamma.chi_int == 1:
+        return PadicSeries.one(pctx.ring, order), 0
+    w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
+    w = w.truncate(order)
+    ratio = (w * ref.phi(w).inv_unit(order)).truncate(order)
+    one = PadicSeries.one(pctx.ring, order)
+    acc, factor, cut = one, ratio, 0
+    while not (factor - one).is_zero():
+        acc = (acc * factor).truncate(order)
+        factor = ref.phi(factor, pctx.f)
+        cut += 1
+        if cut > 64:
+            raise PrecisionError("Lambda_gamma product failed to converge")
+    if acc.val() != 0:
+        raise PrecisionError("Lambda_gamma is not a unit at this precision")
+    return acc, cut
+
+
+def reference_lift(ref, c):
+    """(g_table, cut_index) the per-lift way: Lambda_gamma, its phi-powers, q/gamma(q)
+    and gamma(q) rebuilt from scratch, and every phi(g_{k+1}) recomputed for the check."""
+    pctx = ref.pctx
+    ctx, f, p, order = pctx.ctx, pctx.f, pctx.p, pctx.M
+    g_table, cut_max = {}, 0
+    q = pctx.q_series(order)
+    for name, gamma in ctx.generators():
+        lam, cut = reference_lambda(ref, gamma, order)
+        cut_max = max(cut_max, cut)
+        g0 = PadicSeries.one(pctx.ring, order)
+        lam_phi = lam
+        for k in range(f):
+            if c[k]:
+                g0 = (g0 * lam_phi.pow(c[k], order)).truncate(order)
+            if k + 1 < f:
+                lam_phi = ref.phi(lam_phi)
+        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
+        ratio = (w * ref.phi(w.truncate(order)).inv_unit(order)).truncate(order)
+        gs = [None] * f
+        gs[0] = prev = g0
+        for k in range(f - 1, 0, -1):
+            gs[k] = (ratio.pow(c[k], order) * ref.phi(prev)).truncate(order)
+            prev = gs[k]
+        g_table[name] = gs
+        gq = ref.substitute(q, gamma.chi_int)
+        for k in range(f):
+            lhs = (gq.pow(c[k], order) * gs[k]).truncate(order - p)
+            rhs = (q.pow(c[k], order) * ref.phi(gs[(k + 1) % f])).truncate(order - p)
+            assert lhs.agrees_with(rhs), (c, k, name)
+    return g_table, cut_max
+
+
+def assert_same_series(a, b):
+    assert (a.floor, a.order) == (b.floor, b.order)
+    assert np.array_equal(a.rows, b.rows)
+
+
+GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_gamma_table_matches_per_lift_reference(p, f):
+    """Every (c, Ctilde) lift equals the per-lift reference series by series; the
+    reference body never reads Ctilde, so it runs once per c."""
+    pctx = pctx_for(p, f)
+    ref = DenseSubst(pctx)
+    tei = pctx.ring.teichmuller(pctx.ctx.field.generator())
+    for c in itertools.product(range(p), repeat=f):
+        if all(x == p - 1 for x in c):
+            continue
+        ref_table, ref_cut = reference_lift(ref, c)
+        assert set(ref_table) == ({"eta", "xi"} if p == 2 else {"eta"})
+        for Ctil in (1, 1 + p, tei):
+            N = build_wach_rank1(pctx, Ctil, c)
+            assert N.cut_index == ref_cut
+            assert set(N.g_table) == set(ref_table)
+            for name, gs in ref_table.items():
+                for mine, theirs in zip(N.g_table[name], gs, strict=True):
+                    assert_same_series(mine, theirs)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (5, 2), (7, 1)])
+def test_sparse_compact_substitution_matches_dense(p, f, rng):
+    """The sparse-built, compact transposed matrix and the blocked substitute agree
+    with the dense np.convolve build; p^N = 343 at p = 7 needs uint16."""
+    pctx = pctx_for(p, f)
+    ref = DenseSubst(pctx)
+    pN, M = pctx.ring.pN, pctx.M
+    assert pctx._subst_matrix(p).dtype == (np.uint16 if pN > 256 else np.uint8)
+    for a in sorted({p, p**f, pctx.ctx.chi_eta, 1 + p}):
+        assert np.array_equal(pctx._subst_matrix(a).T, ref.matrix(a)), a
+        for _ in range(6):
+            floor = rng.choice([0, 1, rng.randrange(M + 5)])
+            order = rng.choice([INF, M, rng.randrange(1, 2 * M), floor + 3])
+            rows = np.array([[rng.randrange(pN) for _ in range(pctx.m)] for _ in range(rng.randrange(1, M))])
+            s = PadicSeries(pctx.ring, floor, order, rows)
+            assert_same_series(pctx.substitute(s, a), ref.substitute(s, a))
+
+
+def test_corrupted_cached_ratio_fails_commutation(monkeypatch):
+    pctx = pctx_for(3, 2)
+    units = pctx.units(pctx.ctx.eta)
+    monkeypatch.setitem(units.bases, "ratio", units.bases["ratio"] + pctx.pi(5, pctx.M))
+    with pytest.raises(ArithmeticError, match="Wach commutation failed"):
+        wach_gamma_table(pctx, (1, 2))
