@@ -107,10 +107,18 @@ class ExtClass:
         return "ExtClass(%s)" % (", ".join("%s*%r" % (l, c) for l, c in zip(self.labels, self.coords)))
 
 
+def _phi_minus_one(module: RankOneModule, x: TateElement) -> TateElement:
+    """(kappa_phi phi - 1)(x).  Component i keeps order min(p ord x_{i+1} + e_i, ord x_i)
+    with kappa_phi_i = C_i pi^(e_i), so phi stops at max_i (ord x_i - e_i)."""
+    kphi = module.kappa_phi()
+    cap = max(y.order - k.low for y, k in zip(x.comps, kphi.comps))
+    return kphi * module.ctx.phi_act(x, cap) - x
+
+
 def coboundary(module: RankOneModule, b: TateElement, label: str = "cob") -> Cocycle:
     """The coboundary (kappa_phi phi(b) - b, (kappa_gamma gamma(b) - b))."""
     ctx = module.ctx
-    mu_phi = module.kappa_phi() * ctx.phi_act(b) - b
+    mu_phi = _phi_minus_one(module, b)
     mu_gen = {}
     for name, gamma in ctx.generators():
         mu_gen[name] = module.kappa_gamma(gamma) * ctx.gamma_act(gamma, b) - b
@@ -136,11 +144,10 @@ def verify_cocycle(c: Cocycle, words: int = 0, rng=None) -> VerifyReport:
     checks = []
     ok = True
     max_exp = None
-    kphi = module.kappa_phi()
 
     def dagger(gamma: GammaElement, mu_g: TateElement, tag: str):
         nonlocal ok, max_exp
-        lhs = kphi * ctx.phi_act(mu_g) - mu_g
+        lhs = _phi_minus_one(module, mu_g)
         kg = module.kappa_gamma(gamma)
         rhs = kg * ctx.gamma_act(gamma, c.mu_phi) - c.mu_phi
         hi = min(lhs.min_order(), rhs.min_order())
@@ -309,7 +316,7 @@ def _mu_gamma_from_H(module: RankOneModule, i: int, H: LaurentSeries, gamma: Gam
     k = (i - 1) % f
     while G[k] is None:
         # exact to p * order(G[k+1]); nothing reads a cocycle beyond the window M
-        nxt = G[(k + 1) % f].substitute_power(p).shift((p - 1) * module.c[k]).truncate(ctx.M)
+        nxt = G[(k + 1) % f].substitute_power(p, ctx.M - (p - 1) * module.c[k]).shift((p - 1) * module.c[k])
         G[k] = nxt.scale(module.C) if k == 0 else nxt
         k = (k - 1) % f
     return ctx.tate(G)
@@ -365,7 +372,7 @@ def build_Bi_prime(module: RankOneModule, i: int) -> Cocycle:
         b[i] = LaurentSeries.from_pairs(ctx.field, h2t, H.order).scale(scale)
         bj = LaurentSeries.from_pairs(ctx.field, eh1t, H.order) + LaurentSeries.from_pairs(ctx.field, h1t, H.order)
         bj = bj.scale(scale)
-        bj = bj + b[i].substitute_power(p).shift((p - 1) * module.c[j]).scale(kj_coeff)
+        bj = bj + b[i].substitute_power(p, bj.order - (p - 1) * module.c[j]).shift((p - 1) * module.c[j]).scale(kj_coeff)
         b[j] = bj
     B = coboundary(module, ctx.tate(b))
     out = Bi - B
@@ -482,7 +489,7 @@ def build_trivial_basis(module: RankOneModule):
         mu_phi = ctx.tate_unit_vector(i, D)
         mu_gen = {}
         for name, gamma in gens:
-            comps = [g_of[name].substitute_power(p ** ((i - k) % f)).truncate(ctx.M) for k in range(f)]
+            comps = [g_of[name].substitute_power(p ** ((i - k) % f), ctx.M) for k in range(f)]
             mu_gen[name] = ctx.tate(comps)
         basis.append(Cocycle(module, mu_phi, mu_gen, "B_%d" % i))
     if p == 2:
@@ -744,17 +751,19 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
 def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     """Coordinates beta with c - sum beta_k B_k a coboundary, or None (NotInSpan).
     The residual columns of the basis (and of the kernel line) are built once per
-    window; the target is one more column."""
+    window, in the same pass as the first target; a later target is one more column."""
     module = c.module
     basis = basis or basis_for(module)
     ctx = module.ctx
     key = _coboundary_window(module, [c, *basis.elements])
     if key not in basis._residual_cache:
-        A = _coboundary_system(module, *key, basis.elements)
+        target, A = np.split(_coboundary_system(module, *key, [c, *basis.elements]), [1], axis=1)
         rows = A.any(axis=1)  # most rows vanish on every column; the cache keeps the others
         basis._residual_cache[key] = rows, A[rows]
+    else:
+        target = _coboundary_system(module, *key, [c], kernel=False)
     rows, A = basis._residual_cache[key]
-    target = _coboundary_system(module, *key, [c], kernel=False)[:, 0]
+    target = target[:, 0]
     if target[~rows].any():  # a residual that no column reaches
         return None
     sol, _null = gf(ctx.field).solve(A, target[rows])

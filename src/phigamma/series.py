@@ -247,17 +247,19 @@ class LaurentSeries:
             return self
         return LaurentSeries(self.field, self.floor, order, self.rows)
 
-    def substitute_power(self, k: int) -> "LaurentSeries":
-        """g(pi) -> g(pi^k); intermediate exponents are exactly zero."""
+    def substitute_power(self, k: int, order=INF) -> "LaurentSeries":
+        """g(pi) -> g(pi^k) below ``order``; intermediate exponents are exactly zero.
+        Only the source rows that land below the window are read."""
         if k == 1:
-            return self
+            return self.truncate(order)
         if k < 1:
             raise ValueError("substitution power must be >= 1")
-        order = self.order if self.order == INF else k * self.order
-        if self.is_zero():
+        order = min(self.order if self.order == INF else k * self.order, _as_order(order))
+        if self.is_zero() or order <= k * self.floor:
             return LaurentSeries.zero(self.field, order)
-        rows = np.zeros((k * (len(self.rows) - 1) + 1, self.field.m), dtype=np.int64)
-        rows[::k] = self.rows
+        n = len(self.rows) if order == INF else min(len(self.rows), -((k * self.floor - order) // k))
+        rows = np.zeros((k * (n - 1) + 1, self.field.m), dtype=np.int64)
+        rows[::k] = self.rows[:n]
         return LaurentSeries(self.field, k * self.floor, order, rows)
 
     def inv_unit(self, order=None) -> "LaurentSeries":

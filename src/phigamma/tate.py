@@ -301,9 +301,9 @@ class Context:
     def gamma_act(self, gamma: GammaElement, x: TateElement, out_order=None) -> TateElement:
         return TateElement(self, [self.gamma_act_series(gamma, c, out_order) for c in x.comps])
 
-    def phi_act(self, x: TateElement) -> TateElement:
-        """Component i of the result is x[i+1](pi^p)."""
-        return TateElement(self, [x.comps[(i + 1) % self.f].substitute_power(self.p) for i in range(self.f)])
+    def phi_act(self, x: TateElement, order=INF) -> TateElement:
+        """Component i of the result is x[i+1](pi^p), below ``order``."""
+        return TateElement(self, [x.comps[(i + 1) % self.f].substitute_power(self.p, order) for i in range(self.f)])
 
     # -- lambda units ----------------------------------------------------------------
     def lambda_gamma(self, gamma: GammaElement) -> LaurentSeries:
@@ -376,7 +376,7 @@ def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSer
         acc = h.truncate(order)
         term = acc
         while not term.is_zero():
-            term = term.substitute_power(ctx.p**ctx.f).shift(shift).scale(C).truncate(order)
+            term = term.substitute_power(ctx.p**ctx.f, order - shift).shift(shift).scale(C)
             acc = acc + term
         return -acc
     return _solve_c_phi_minus_one(ctx, C, h, order)

@@ -373,12 +373,15 @@ def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
 class GammaUnits:
     """The series that every g-table of one generator raises to digit powers, mod
     pi^M: phi^k(Lambda_gamma) under key k < f, q, "gq" = gamma(q) and "ratio" =
-    q/gamma(q).  They depend on neither c nor Ctilde; powers are kept by exponent."""
+    q/gamma(q).  They depend on neither c nor Ctilde; powers are kept by exponent.
+    ``q_reduces`` is the check q = pi^(p-1) mod p that every reduction report carries."""
 
     def __init__(self, pctx: PadicContext, gamma: GammaElement):
         self.order = pctx.M
         lam, self.cut = big_lambda_gamma(pctx, gamma, self.order)
         q = pctx.q_series(self.order)
+        pi_p1 = LaurentSeries.monomial(pctx.ctx.field, pctx.p - 1)
+        self.q_reduces = q.reduce_mod_p(pctx.ctx.field).agrees_with(pi_p1, pctx.p - 1, self.order - 1)
         self.bases = {0: lam, "q": q, "gq": pctx.gamma(q, gamma), "ratio": pctx.q_over_gamma_q(gamma, self.order)}
         for k in range(1, pctx.f):
             self.bases[k] = pctx.phi(self.bases[k - 1])
@@ -475,13 +478,8 @@ def reduce_mod_p(N: WachRankOne) -> ReductionReport:
     p, f = pctx.p, pctx.f
     Cbar = field.from_row(N.Ctilde % p)
     module = RankOneModule(ctx, Cbar, N.c)
-    details = []
-    ok = True
-    # q mod p = pi^(p-1)
-    qbar = pctx.q_series(pctx.M).reduce_mod_p(field)
-    qok = qbar.agrees_with(LaurentSeries.monomial(field, p - 1), p - 1, pctx.M - 1)
-    details.append(("q = pi^(p-1) mod p", qok))
-    ok = ok and qok
+    ok = pctx.units(ctx.eta).q_reduces
+    details = [("q = pi^(p-1) mod p", ok)]
     for name, gamma in ctx.generators():
         for i in range(f):
             gbar = N.g_table[name][i].reduce_mod_p(field)
@@ -558,7 +556,7 @@ def saturation_check(N: WachRankTwo, subline) -> SaturationReport:
             for i in range(f):
                 acc = LaurentSeries.zero(field, ctx.M)
                 for j in range(2):
-                    xf = x[j][(i + 1) % f].substitute_power(p)
+                    xf = x[j][(i + 1) % f].substitute_power(p, ctx.M)  # acc keeps order <= M; P is integral
                     acc = acc + Pbar[r][j][i] * xf
                 comps.append(acc)
             out.append(comps)

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from phigamma import (
@@ -18,7 +21,11 @@ from phigamma import (
     span_decompose,
     verify_cocycle,
 )
-from phigamma.cocycle import Cocycle
+from phigamma import cocycle as cocycle_mod
+from phigamma.cocycle import Cocycle, ModuleBasis, _coboundary_system, _coboundary_window
+from phigamma.gflinalg import gf
+from phigamma.series import INF
+from phigamma.tate import solve_phi_minus_one
 
 from conftest import ctx_for
 
@@ -268,3 +275,134 @@ def test_is_coboundary_inconclusive_on_tiny_window(ctx31):
         "tiny",
     )
     assert is_coboundary(tiny).status == "inconclusive"
+
+
+# -- Frobenius substitutions cut to their callers' windows ---------------------------
+# The references build every row of a substitution, and the callers that keep a
+# window cut the result afterwards.  Series compare by floor, order and rows (==).
+
+
+def _uncapped(s, k, order=INF):
+    """g(pi) -> g(pi^k) on the whole series; ``order`` is ignored."""
+    if k == 1:
+        return s
+    out_order = s.order if s.order == INF else k * s.order
+    if s.is_zero():
+        return LaurentSeries.zero(s.field, out_order)
+    rows = np.zeros((k * (len(s.rows) - 1) + 1, s.field.m), dtype=np.int64)
+    rows[::k] = s.rows
+    return LaurentSeries(s.field, k * s.floor, out_order, rows)
+
+
+def _ref_solve_phi_minus_one(ctx, C, sigma, h):
+    if sigma == 0:
+        return solve_phi_minus_one(ctx, C, sigma, h)
+    order = int(min(h.order if h.order != INF else ctx.M, ctx.M))
+    shift = (ctx.p - 1) * sigma
+    acc = term = h.truncate(order)
+    while not term.is_zero():
+        term = _uncapped(term, ctx.p**ctx.f).shift(shift).scale(ctx.field.coerce(C)).truncate(order)
+        acc = acc + term
+    return -acc
+
+
+def _ref_mu_gamma_from_H(module, i, H, gamma):
+    ctx = module.ctx
+    p, f = ctx.p, ctx.f
+    sigma = module.sigma(i)
+    G = [None] * f
+    G[i] = _ref_solve_phi_minus_one(ctx, module.C, sigma, ctx.op_lambda_gamma(gamma, sigma, H))
+    k = (i - 1) % f
+    while G[k] is None:
+        nxt = _uncapped(G[(k + 1) % f], p).shift((p - 1) * module.c[k]).truncate(ctx.M)
+        G[k] = nxt.scale(module.C) if k == 0 else nxt
+        k = (k - 1) % f
+    return ctx.tate(G)
+
+
+def _same_tate(x, y):
+    return all(a == b for a, b in zip(x.comps, y.comps))
+
+
+def _same_cocycle(x, y):
+    return _same_tate(x.mu_phi, y.mu_phi) and x.mu_gen.keys() == y.mu_gen.keys() and all(
+        _same_tate(x.mu_gen[k], y.mu_gen[k]) for k in x.mu_gen
+    )
+
+
+def _modules(ctx):
+    p, f = ctx.p, ctx.f
+    for C in (ctx.field.one(), ctx.field.generator()):
+        for c in itertools.product(range(p), repeat=f):
+            if any(ci != p - 1 for ci in c):
+                yield RankOneModule(ctx, C, c)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 2), (5, 2)])
+def test_substitutions_keep_every_window(monkeypatch, p, f):
+    """Bases, coboundaries, phi_act and verify_cocycle agree in floor, order and rows
+    with the uncapped substitution bodies, for every digit vector and C in {1, g};
+    the trivial and cyclotomic modules are among them."""
+    ctx = ctx_for(p, f)
+    rng = random.Random(100 * p + f)
+    for M in _modules(ctx):
+        basis = ModuleBasis(M)
+        b = rand_tate(ctx, rng)
+        b = ctx.tate([x.truncate(rng.choice([ctx.M, ctx.M - 3, ctx.M // 2])) for x in b.comps])  # unequal orders
+        got = [coboundary(M, b)] + [verify_cocycle(B) for B in basis.elements]
+        for cap in (INF, ctx.M, 2):
+            assert _same_tate(ctx.phi_act(b, cap), ctx.tate([_uncapped(x, p).truncate(cap) for x in b.comps[1:] + b.comps[:1]]))
+        if M.is_trivial_shape():  # B_i's components are g(pi^(p^(i-k))) cut at M, g = component i
+            for i, B in enumerate(basis.elements[:f]):
+                for mu in B.mu_gen.values():
+                    assert mu.comps[i].order <= ctx.M
+                    for k in range(f):
+                        assert mu.comps[k] == _uncapped(mu.comps[i], p ** ((i - k) % f)).truncate(ctx.M)
+        i_prime = [i for i in range(f) if f == 2 and p > 2 and M.c[i] == p - 1]
+        with monkeypatch.context() as mp:
+            mp.setattr(LaurentSeries, "substitute_power", _uncapped)
+            mp.setattr(cocycle_mod, "_mu_gamma_from_H", _ref_mu_gamma_from_H)
+            ref = ModuleBasis(M) if not M.is_trivial_shape() else basis
+            want = [coboundary(M, b)] + [verify_cocycle(B) for B in ref.elements]
+            bprime = [build_Bi_prime(M, i) for i in i_prime]
+        assert all(_same_cocycle(x, y) for x, y in zip(basis.elements, ref.elements)), M
+        assert _same_cocycle(got[0], want[0]), M
+        for x, y in zip(got[1:], want[1:]):
+            assert x.ok and (x.max_exponent, x.checks) == (y.max_exponent, y.checks), M
+        assert all(_same_cocycle(build_Bi_prime(M, i), y) for i, y in zip(i_prime, bprime)), M
+
+
+def _two_call_span(c, basis):
+    """span_decompose as two residual builds: the basis columns, then the target."""
+    M = c.module
+    key = _coboundary_window(M, [c, *basis.elements])
+    A = _coboundary_system(M, *key, basis.elements)
+    rows = A.any(axis=1)
+    target = _coboundary_system(M, *key, [c], kernel=False)[:, 0]
+    sol = None if target[~rows].any() else gf(M.ctx.field).solve(A[rows], target[rows])[0]
+    coords = None if sol is None else tuple(M.ctx.field.from_index(int(v)) for v in sol[: len(basis)])
+    return key, (rows, A[rows]), coords
+
+
+@pytest.mark.parametrize("p,f,C,c", [(2, 1, 1, (0,)), (2, 2, 1, (0, 0)), (2, 2, "g", (1, 0)), (3, 2, 1, (1, 1)), (3, 2, "g", (2, 1))])
+def test_cold_first_span_matches_two_call_reference(p, f, C, c):
+    """The first span of a window builds the target with the basis columns; the
+    cold and the warm decomposition, and the cached residual columns, equal the
+    two-call build.  Kernel-line modules (C = 1, fixed cycle) and p = 2 (xi rows) included."""
+    ctx = ctx_for(p, f)
+    M = RankOneModule(ctx, ctx.field.generator() if C == "g" else C, c)
+    rng = random.Random(7 * p + f)
+    basis = ModuleBasis(M)
+    partial = copy.copy(basis)  # without its last element, which leaves that one outside the span
+    partial.elements, partial.labels = basis.elements[:-1], basis.labels[:-1]
+    cases = [(random_cocycle(M, rng), basis) for _ in range(3)]
+    cases += [(basis.elements[-1], basis), (basis.elements[0] - basis.elements[0], basis), (basis.elements[-1], partial)]
+    for x, B in cases:
+        key, (rows, A), want = _two_call_span(x, B)
+        B._residual_cache = {}
+        cold = span_decompose(x, B)
+        cached_rows, cached_A = B._residual_cache[key]
+        warm = span_decompose(x, B)
+        assert np.array_equal(cached_rows, rows) and np.array_equal(cached_A, A)
+        assert (want is None) == (B is partial)
+        assert (cold and cold.coords) == (warm and warm.coords) == want

@@ -226,3 +226,31 @@ def test_support_matches_rowwise_scan(rng, p, m):
         got = s.support()
         assert got == want and all(type(e) is int for e in got)
     assert LaurentSeries.zero(field).support() == []
+
+
+def _substitute_oracle(s, k):
+    """g(pi^k) from its terms, on the window k * order."""
+    return LaurentSeries.from_pairs(s.field, {k * e: c for e, c in s.items()}, s.order if s.order == INF else k * s.order)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3)])
+def test_capped_substitution_matches_full_substitution_truncated(rng, p, f):
+    """substitute_power(k, order) reads only the rows below the window, and agrees in
+    floor, order and rows with the full substitution cut afterwards."""
+    field = F(p, f)
+    samples = [LaurentSeries.zero(field), LaurentSeries.zero(field, 7), LaurentSeries.zero(field, -3)]
+    for _ in range(12):
+        lo = rng.randrange(-2 * p, 3)
+        hi = lo + rng.randrange(1, 4 * p)
+        samples.append(rand_series(field, rng, lo, hi, rng.choice([INF, hi, hi + rng.randrange(1, 9)])))
+    for s in samples:
+        for k in sorted({1, p, p**f}):
+            full = s.substitute_power(k)
+            assert full == _substitute_oracle(s, k)
+            assert s.substitute_power(k, INF) == full
+            kfloor = k * s.floor if s.floor != INF else 0
+            top = full.order if full.order != INF else kfloor + k * len(s.rows) + 1
+            orders = {kfloor - 1, kfloor, rng.randrange(kfloor + 1, max(top, kfloor + 2) + 1), top + k}
+            for order in orders:
+                assert s.substitute_power(k, order) == full.truncate(order), (s, k, order)  # floor, order and rows
+        assert s.substitute_power(1) is s

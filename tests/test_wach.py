@@ -89,6 +89,9 @@ def test_reduction_grid_small():
                 N = build_wach_rank1(pctx, Ctil, c)
                 rep = reduce_mod_p(N)
                 assert rep.match, (p, f, c, rep.details)
+                # the q check, computed once per context, heads every report
+                assert rep.details[0] == ("q = pi^(p-1) mod p", True)
+                assert len(rep.details) == 1 + f * len(pctx.ctx.generators())
 
 
 def test_reduction_identifies_module():
