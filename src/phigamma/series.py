@@ -361,25 +361,31 @@ def _pascal_block(p: int, size: int, inverse: bool) -> np.ndarray:
     return out
 
 
-def pascal_transform(x: np.ndarray, p: int, inverse: bool = False) -> np.ndarray:
+def pascal_transform(x: np.ndarray, p: int, inverse: bool = False, live=None) -> np.ndarray:
     """Change of basis pi^n <-> y^k, y = 1 + pi, on coefficient rows x of shape (p^N, m).
 
     Forward gives the coefficients in the basis y^k; ``inverse`` goes back.  By
     Lucas's theorem both matrices are N-fold Kronecker powers of one p x p
     Pascal matrix, so they are applied a block of digits (at most 64 indices)
-    at a time on the (..., block, ...) view of x."""
+    at a time on the (..., block, ...) view of x.  They map an index to digit-wise
+    smaller ones only: with x zero from row ``live`` on (forward), or rows below
+    ``live`` wanted (inverse), the blocks run on the slabs that meet [0, live)."""
     P = x.shape[0]
+    cols = x.size // P
+    x = x.reshape(P, cols)
     width = p
     while width * p <= 64:
         width *= p
-    a, c = 1, x.size
-    while a < P:
-        blk = _pascal_block(p, min(width, P // a), inverse)
-        b = blk.shape[0]
-        c //= b
-        x = np.matmul(blk, x.reshape(a, b, c)) % p
-        a *= b
-    return x.reshape(P, -1)
+    a, n = 1, P  # a slabs of n rows each
+    while n > 1:
+        b = min(width, n)
+        n //= b
+        k = b if live is None or a > 1 else min(b, -(-live // n))
+        blk = _pascal_block(p, b, inverse)[:k, : b if inverse else k]
+        x = np.matmul(blk, x[: a * blk.shape[1] * n].reshape(a, blk.shape[1], n * cols)) % p
+        a *= k
+        x = x.reshape(a * n, cols)
+    return x
 
 
 def pascal_size(p: int, n: int) -> int:
@@ -404,7 +410,7 @@ def one_plus_pi_pow(field: Field, u, order) -> LaurentSeries:
     y = np.zeros((P, 1), dtype=np.int64)
     y[int(u) % P] = 1
     rows = np.zeros((order, field.m), dtype=np.int64)
-    rows[:, :1] = pascal_transform(y, p, inverse=True)[:order]
+    rows[:, :1] = pascal_transform(y, p, inverse=True, live=order)[:order]
     return LaurentSeries(field, 0, order, rows)
 
 

@@ -2,13 +2,13 @@
 
 phi rotates the S-indexed components and substitutes pi -> pi^p (freshman's
 dream in characteristic p); gamma in Gamma substitutes pi -> (1+pi)^chi(gamma) - 1
-componentwise.  Substitution is one path: a pole is cleared by a power K = p^k
-of Frobenius, gamma(s) = gamma(pi)^(-K) gamma(pi^K s), where gamma(pi)^(-K)
-has the F_p coefficients of 1/gamma(pi) spread K apart; the power series
-pi^K s goes to the basis y = 1 + pi by a digit-wise Pascal (Lucas) transform,
-gamma permutes y^k -> y^(chi k mod p^N), and the inverse transform comes back.
-The caches (the head of 1/gamma(pi), lambda_gamma and its powers) are at most
-O(M) series keyed globally, so contexts with equal parameters share them.
+componentwise.  Substitution is one path: a pole is cleared by K = a p^k, 1 <= a < p,
+gamma(s) = gamma(pi)^(-K) gamma(pi^K s), where gamma(pi)^(-K) has the F_p coefficients
+of gamma(pi)^(-a) spread p^k apart; the power series pi^K s goes to the basis y = 1 + pi
+by a digit-wise Pascal (Lucas) transform, gamma permutes y^k -> y^(chi k mod p^N), and
+the inverse transform comes back, both on the rows below order + K only.  The caches
+(the heads of gamma(pi)^(-a), lambda_gamma and its powers) are at most O(M) series
+keyed globally, so contexts with equal parameters share them.
 The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
 ``phi_transport``, for a batch of right-hand sides at once.
 """
@@ -39,6 +39,13 @@ def smallest_primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
             return g
     raise ValueError("no primitive root mod %d" % p)
+
+
+def generates_gamma(p: int, chi: int) -> bool:
+    """Whether chi(eta) = chi generates Z_p^* topologically (for p = 2 with chi(xi) = 5)."""
+    if p == 2:
+        return chi % 4 == 3
+    return len({pow(chi, k, p) for k in range(p - 1)}) == p - 1 and pow(chi, p - 1, p * p) != 1
 
 
 def canonical_chi_eta(p: int) -> int:
@@ -148,7 +155,7 @@ class TateElement:
 
 _REGISTRY = {}
 
-# A pole is cleared by a power K = p^k >= order / _POLE_STEPS of Frobenius.
+# A pole is cleared by K = a p^k with p^k >= order / _POLE_STEPS and 1 <= a < p.
 _POLE_STEPS = 8
 # int64 entries in one work array of a batched transform; wider batches go in column groups
 _WORK = 1 << 14
@@ -173,6 +180,8 @@ class Context:
             raise ValueError("need tail_floor < 0 < pi_order")
         self.padic_depth = padic_depth
         self.chi_eta = int(chi_eta) if chi_eta is not None else canonical_chi_eta(p)
+        if not generates_gamma(p, self.chi_eta):
+            raise ValueError("chi_eta = %d does not generate Gamma at p = %d" % (self.chi_eta, p))
         ndig = 2
         while p**ndig < 4 * (self.M - self.L):
             ndig += 1
@@ -228,14 +237,14 @@ class Context:
         return [("eta", self.eta)] + ([("xi", self.xi)] if self.p == 2 else [])
 
     # -- gamma action -------------------------------------------------------------
-    def _winv(self, gamma: GammaElement) -> np.ndarray:
-        """The F_p coefficients of 1/gamma(pi) on exponents [-1, _POLE_STEPS)."""
+    def _winv(self, gamma: GammaElement, a: int) -> np.ndarray:
+        """The F_p coefficients of gamma(pi)^(-a) on exponents [-a, _POLE_STEPS)."""
 
         def build():
-            w = one_plus_pi_pow(self.field, gamma.chi_int, _POLE_STEPS + 2) - 1
-            return w.inv_unit().coeff_rows(-1, _POLE_STEPS)[:, 0]
+            u = (one_plus_pi_pow(self.field, gamma.chi_int, a + _POLE_STEPS + 1) - 1).shift(-1)
+            return u.pow(-a, a + _POLE_STEPS).shift(-a).coeff_rows(-a, _POLE_STEPS)[:, 0]
 
-        return _cache((self.field.key, gamma.chi_int, "winv"), build)
+        return _cache((self.field.key, gamma.chi_int, a, "winv"), build)
 
     def gamma_act_series(self, gamma: GammaElement, s: LaurentSeries, out_order=None) -> LaurentSeries:
         """Substitute pi -> gamma(pi) in one Laurent series (a batch of width 1 of
@@ -263,19 +272,21 @@ class Context:
         coefficient rows x on [floor, order) (axis 0 the exponent, the other axes
         the batch); the images are exact on the same window.
 
-        A pole of order up to K = p^k is cleared first: by Frobenius
-        gamma(s) = gamma(pi)^(-K) gamma(pi^K s) with gamma(pi)^(-K) =
-        sum_t winv_t pi^(tK).  The power series pi^K s goes to the basis
-        y^k, y = 1 + pi, where gamma is the permutation y^k -> y^(chi k mod
-        p^N) (exact below pi^(p^N), as y^(p^N) = 1 + pi^(p^N)), and back.
-        K >= order / _POLE_STEPS keeps the final product to a few shifts.  The
-        batch goes through in column groups whose p^N rows hold at most _WORK entries."""
+        A pole is cleared first by K = a S >= -floor, S = p^k >= order / _POLE_STEPS,
+        1 <= a < p: by Frobenius gamma(s) = gamma(pi)^(-K) gamma(pi^K s) with
+        gamma(pi)^(-K) = sum_t u_t pi^((t - a) S), u the head of gamma(pi)^(-a).
+        The power series pi^K s goes to the basis y^k, y = 1 + pi, where gamma is
+        the permutation y^k -> y^(chi k mod P) (exact below pi^P, as y^P = 1 + pi^P),
+        and back, both transforms pruned to the rows below R = order + K.  The
+        batch goes through in column groups whose P rows hold at most _WORK entries."""
         p = self.p
         K = 0
         if floor < 0:
-            K = 1
-            while K < -floor or _POLE_STEPS * K < order:
-                K *= p
+            S = pascal_size(p, -(-order // _POLE_STEPS))
+            while -(floor // S) >= p:
+                S *= p
+            a = -(floor // S)
+            K = a * S
         R = order + K
         P = pascal_size(p, R)
         perm = np.arange(P) * (gamma.chi_int % P) % P
@@ -283,17 +294,19 @@ class Context:
         out = np.zeros_like(flat)
         cols = np.flatnonzero(flat.any(axis=0))  # zero columns stay zero
         width = max(1, _WORK // P)
-        for a in range(0, len(cols), width):
-            group = cols[a : a + width]
+        for j in range(0, len(cols), width):
+            group = cols[j : j + width]
             z = np.zeros((P, len(group)), dtype=np.int64)
             z[K + floor : R] = flat[:, group]
-            z[perm] = pascal_transform(z, p)
-            g = pascal_transform(z, p, inverse=True)[:R]
+            y = pascal_transform(z, p, live=R)
+            z = np.zeros_like(z)
+            z[perm[: len(y)]] = y
+            g = pascal_transform(z, p, inverse=True, live=R)[:R]
             if K:
                 acc = np.zeros_like(g)
-                for t, c in enumerate(self._winv(gamma)):
-                    if c and t * K < R:
-                        acc[t * K :] += c * g[: R - t * K]
+                for t, c in enumerate(self._winv(gamma, a)):
+                    if c and t * S < R:
+                        acc[t * S :] += c * g[: R - t * S]
                 g = acc % p
             out[:, group] = g[K + floor :]
         return out.reshape(x.shape)

@@ -402,6 +402,7 @@ class WachRankOne:
     c: tuple
     g_table: dict  # generator name -> list of f PadicSeries
     cut_index: int
+    g_bar: dict  # the g_table mod p, shared like it by every Ctilde of c
 
     @property
     def f(self):
@@ -409,13 +410,14 @@ class WachRankOne:
 
 
 def wach_gamma_table(pctx: PadicContext, c) -> tuple:
-    """(g_table, cut_index) of N_{Ctilde,c}, which do not depend on Ctilde: per
-    generator, g_0 from the product formula and the other g_i from the phi-chain;
-    the commutation identities are verified to precision."""
+    """(g_table, cut_index, g_bar) of N_{Ctilde,c}, which do not depend on Ctilde:
+    per generator, g_0 from the product formula and the other g_i from the
+    phi-chain, and their reductions mod p; the commutation identities are
+    verified to precision."""
     f, p, order = pctx.f, pctx.p, pctx.M
     c = tuple(int(x) for x in c)
     one = PadicSeries.one(pctx.ring, order)
-    g_table = {}
+    g_table, g_bar = {}, {}
     cut_max = 0
     for name, gamma in pctx.ctx.generators():
         units = pctx.units(gamma)
@@ -440,7 +442,8 @@ def wach_gamma_table(pctx: PadicContext, c) -> tuple:
         if not (gs[0] - one).is_zero() and (gs[0] - one).val() < 1:
             raise ArithmeticError("g_0 is not 1 mod pi")
         g_table[name] = gs
-    return g_table, cut_max
+        g_bar[name] = [g.reduce_mod_p(pctx.ctx.field) for g in gs]
+    return g_table, cut_max, g_bar
 
 
 def build_wach_rank1(pctx: PadicContext, Ctilde, c, table=None) -> WachRankOne:
@@ -455,8 +458,7 @@ def build_wach_rank1(pctx: PadicContext, Ctilde, c, table=None) -> WachRankOne:
         Ctilde = np.asarray(Ctilde, dtype=np.int64) % pctx.ring.pN
     if not pctx.ctx.field.from_row(Ctilde % pctx.p):
         raise ValueError("Ctilde must be a unit")
-    g_table, cut = table or wach_gamma_table(pctx, c)
-    return WachRankOne(pctx, Ctilde, c, g_table, cut)
+    return WachRankOne(pctx, Ctilde, c, *(table or wach_gamma_table(pctx, c)))
 
 
 @dataclass
@@ -482,7 +484,7 @@ def reduce_mod_p(N: WachRankOne) -> ReductionReport:
     details = [("q = pi^(p-1) mod p", ok)]
     for name, gamma in ctx.generators():
         for i in range(f):
-            gbar = N.g_table[name][i].reduce_mod_p(field)
+            gbar = N.g_bar[name][i]
             lam = ctx.lambda_pow(gamma, module.sigma(i))
             hi = min(gbar.order, lam.order, pctx.M - p)
             good = gbar.agrees_with(lam, 0, hi)

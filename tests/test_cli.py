@@ -68,6 +68,11 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, c=["x"]), "classify"),
         (dict(GOOD, C="x"), "classify"),
         (dict(GOOD, chi_eta=3), "classify"),
+        # at p = 5: 1 and 4 are no primitive roots mod 5; 7 = 2 mod 5 has 7^4 = 1 mod 25
+        (dict(GOOD, p=5, chi_eta=1), "vj-table"),
+        (dict(GOOD, p=5, chi_eta=4), "vj-table"),
+        (dict(GOOD, p=5, chi_eta=7), "vj-table"),
+        ({"p": 2, "f": 1, "C": 1, "c": [1], "chi_eta": 5}, "classify"),
         (dict(GOOD, precision={"pi_order": 0}), "classify"),
         (dict(GOOD, precision={"tail_floor": 0}), "classify"),
         # GF tables stop at q = 4096; refused before any window is built
@@ -81,6 +86,10 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "c-not-int",
         "C-not-element",
         "chi_eta-not-unit",
+        "chi_eta-1",
+        "chi_eta-4",
+        "chi_eta-7-mod-25",
+        "chi_eta-1-mod-4",
         "pi_order=0",
         "tail_floor=0",
         "vj-table-q>4096",

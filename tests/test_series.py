@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from phigamma import FieldSpec, LaurentSeries, PrecisionError, make_field, nth_root_unit, one_plus_pi_pow
 from phigamma.field import default_modulus
-from phigamma.series import INF
+from phigamma.series import INF, pascal_transform
 
 
 def F(p, m=1):
@@ -254,3 +255,41 @@ def test_capped_substitution_matches_full_substitution_truncated(rng, p, f):
             for order in orders:
                 assert s.substitute_power(k, order) == full.truncate(order), (s, k, order)  # floor, order and rows
         assert s.substitute_power(1) is s
+
+
+def _lucas_matrix(p, P, inverse):
+    """The dense change of basis from binomials: pi^n -> y^k has (-1)^(n-k) C(n, k),
+    y^k -> pi^j has C(k, j), both mod p (rows the output index)."""
+    if inverse:
+        return np.array([[math.comb(k, j) % p for k in range(P)] for j in range(P)], dtype=np.int64)
+    return np.array([[(-1) ** ((n - k) % 2) * math.comb(n, k) % p for n in range(P)] for k in range(P)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pruned_pascal_transform_matches_full(p):
+    """pascal_transform(live=...) against the full transform: forward, on inputs
+    that vanish from row ``live`` on, it returns whole slabs that hold every
+    nonzero row; inverse, its rows below ``live`` are the full transform's."""
+    gen = np.random.default_rng(p)
+    width = p  # the digit block: the largest power of p <= 64
+    while width * p <= 64:
+        width *= p
+    for g in range(6):
+        P = p**g
+        for inverse in (False, True):
+            if P <= 125:
+                x = gen.integers(0, p, (P, 2))
+                assert np.array_equal(pascal_transform(x, p, inverse), _lucas_matrix(p, P, inverse) @ x % p)
+            for live in sorted({1, P // 3 + 1, max(P - 1, 1), P}):
+                x = gen.integers(0, p, (P, 3))
+                if not inverse:
+                    x[live:] = 0
+                full = pascal_transform(x, p, inverse)
+                got = pascal_transform(x, p, inverse, live=live)
+                slab = P // min(width, P)  # the rows of one slab of the leading digit block
+                assert live <= len(got) <= -(-live // slab) * slab and got.shape[1] == 3
+                if inverse:
+                    assert np.array_equal(got[:live], full[:live]), (P, live)
+                else:
+                    assert np.array_equal(got, full[: len(got)]), (P, live)
+                    assert not full[len(got) :].any(), (P, live)

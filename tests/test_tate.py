@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
+from phigamma import Context, LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
 from phigamma.series import INF, one_plus_pi_pow
+from phigamma.tate import _POLE_STEPS
 
 from conftest import ctx_for
 
@@ -157,13 +158,45 @@ def gamma_pi_by_comb(ctx, chi, order):
 
 
 @pytest.mark.parametrize("p,f,m", [(2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 3, 3), (3, 2, 2), (3, 3, 3), (5, 2, 2)])
-def test_gamma_act_matches_direct_composition(p, f, m):
-    """gamma_act_series against sum_n a_n gamma(pi)^n, negative powers through inv_unit."""
+def test_gamma_act_matches_direct_composition(p, f, m, monkeypatch):
+    """gamma_act_series against sum_n a_n gamma(pi)^n, negative powers through inv_unit:
+    random windows, and poles cleared by K = a p^k with a in {2, p - 1} (a is always 1
+    at p = 2) at window orders just below and above _POLE_STEPS p^k."""
     ctx = ctx_for(p, f, m)
     rng = random.Random(1000 * p + 10 * f + m)
     M, L = ctx.M, ctx.L
     gammas = [ctx.eta, ctx.xi, ctx.eta**-1, ctx.eta**3] + ([ctx.gamma_from_chi(-1)] if p == 2 else [])
     work = M - L + 10
+    poles = []
+    for k in range(4):
+        for a in sorted({2, p - 1}):
+            for floor in (-a * p**k, 1 - a * p**k):
+                for order in (_POLE_STEPS * p**k - 1, _POLE_STEPS * p**k + 1):
+                    if floor < 0 and order <= min(M, M - L + 1 + floor):
+                        poles.append((floor, order))
+    assert len(poles) >= 8
+    heads = set()  # the a of every head gamma(pi)^(-a) the action asks for
+    head = ctx._winv
+    monkeypatch.setattr(ctx, "_winv", lambda gamma, a: heads.add(a) or head(gamma, a))
+
+    def check(gamma, w, winv, s, out_order):
+        got = ctx.gamma_act_series(gamma, s, out_order)
+        claimed = min(s.order, M)
+        if out_order is not None:
+            claimed = min(claimed, out_order)
+        if s.floor < 0:
+            claimed = min(claimed, M - L + 1 + s.floor)
+        assert got.order == claimed
+        expect = ctx.zero_series(work)
+        for e, a in s.items():
+            if e < claimed:
+                power = w.pow(e, work) if e >= 0 else winv.pow(-e, work)
+                expect = expect + power.scale(a)
+        assert expect.order >= claimed
+        want = expect.truncate(claimed)
+        assert (got.low, got.order) == (want.low, want.order)
+        assert got.agrees_with(want)
+
     for gamma in gammas:
         w = gamma_pi_by_comb(ctx, gamma.chi_int, work)
         winv = w.inv_unit()
@@ -172,23 +205,12 @@ def test_gamma_act_matches_direct_composition(p, f, m):
             exps = {floor} | {rng.randrange(floor, M + 5) for _ in range(6)}
             s_order = rng.choice([INF, M + 7, rng.randrange(max(floor, 0) + 1, M + 1)])
             s = LaurentSeries.from_pairs(ctx.field, {e: ctx.field.random_element(rng, nonzero=True) for e in exps}, s_order)
-            out_order = rng.choice([None, rng.randrange(floor + 1, M + 3), floor])
-            got = ctx.gamma_act_series(gamma, s, out_order)
-            claimed = min(s.order, M)
-            if out_order is not None:
-                claimed = min(claimed, out_order)
-            if floor < 0:
-                claimed = min(claimed, M - L + 1 + floor)
-            assert got.order == claimed
-            expect = ctx.zero_series(work)
-            for e, a in s.items():
-                if e < claimed:
-                    power = w.pow(e, work) if e >= 0 else winv.pow(-e, work)
-                    expect = expect + power.scale(a)
-            assert expect.order >= claimed
-            want = expect.truncate(claimed)
-            assert (got.low, got.order) == (want.low, want.order)
-            assert got.agrees_with(want)
+            check(gamma, w, winv, s, rng.choice([None, rng.randrange(floor + 1, M + 3), floor]))
+        for floor, order in poles:
+            exps = {floor} | {rng.randrange(floor, order + 5) for _ in range(6)}
+            s = LaurentSeries.from_pairs(ctx.field, {e: ctx.field.random_element(rng, nonzero=True) for e in exps})
+            check(gamma, w, winv, s, order)
+    assert 1 in heads and (p == 2 or {2, p - 1} <= heads), heads
     with pytest.raises(PrecisionError):  # a pole series known only below pi^0
         ctx.gamma_act_series(ctx.eta, LaurentSeries.from_pairs(ctx.field, {L - 1: 1, -1: 1}, -1))
 
@@ -202,7 +224,7 @@ def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
     F = ctx.field
     rng = random.Random(7000 * p + 10 * f + m)
     gen = np.random.default_rng(7000 * p + 10 * f + m)
-    windows = [(ctx.L, ctx.M + ctx.L), (-3 * p, 2 * p * p), (0, ctx.M), (-1, 5)]
+    windows = [(ctx.L, ctx.M + ctx.L), (-3 * p, 2 * p * p), (0, ctx.M), (-1, 5), (-2 * p * p, 1)]  # last: a V_J system's deep pole
     for gamma in [ctx.eta, ctx.xi]:
         for floor, order in windows:
             sigma = rng.randrange(p**f)
@@ -219,3 +241,26 @@ def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
                 want = ctx.op_lambda_gamma(gamma, sigma, s, out_order=order)
                 assert want.order >= order
                 assert np.array_equal(got[:, :, k], want.coeff_rows(floor, order)), (gamma, floor, order, k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chi_eta_must_generate_gamma(p):
+    """A chi_eta is accepted exactly when it generates Gamma: for p > 2 when it
+    generates (Z/p^2)^*, for p = 2 when it and chi(xi) = 5 generate (Z/8)^*."""
+    field = ctx_for(p, 1).field
+    mod = 8 if p == 2 else p * p
+    for chi in range(-mod, 2 * mod):
+        if chi % p == 0:
+            continue
+        group, frontier = {1}, [1]
+        while frontier:
+            x = frontier.pop()
+            for g in (chi, 5) if p == 2 else (chi,):
+                if x * g % mod not in group:
+                    group.add(x * g % mod)
+                    frontier.append(x * g % mod)
+        if len(group) == (4 if p == 2 else p * (p - 1)):
+            assert Context(field, chi_eta=chi).eta.chi_int == chi
+        else:
+            with pytest.raises(ValueError, match="does not generate"):
+                Context(field, chi_eta=chi)
