@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .field import Field, FieldSpec, default_modulus, make_field
+from .field import Field, FieldError, FieldSpec, default_modulus, make_field
 from .series import LaurentSeries, PrecisionError
 from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(json.dumps({"error": "precision exhausted: %s" % exc, "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return EXIT_PRECISION
-    except (ArithmeticError, PivotError) as exc:
+    except (ArithmeticError, PivotError, FieldError) as exc:  # a FieldError past the config stage
         print(json.dumps({"error": "%s: %s" % (type(exc).__name__, exc), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return EXIT_ARITHMETIC
 

@@ -653,35 +653,37 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     b, obstruction = phi_transport(field, p, shifts, Ci, lo, hi, h, free=theta_phi, t=cycle_value)
     del h
     b[:, : floor - lo] = 0  # the coboundary is b on [floor, Ub)
-    # the matrix, filled block by block
+    # the matrix, filled block by block as F_p digits and encoded once per block
     phi_lo = p * floor - max(shifts) - 1
-    gens = [(name, i, theta[i]) for name, theta in theta_gen.items() for i in range(f)]
-    heights = [t - phi_lo for t in theta_phi] + [1] * cycle_slot + [t - floor for _, _, t in gens]
+    heights = [t - phi_lo for t in theta_phi] + [1] * cycle_slot + [t - floor for theta in theta_gen.values() for t in theta]
     heights = [max(n, 0) for n in heights]
     out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
     blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
     for i in range(f):
-        rows = next(blocks)
         e = np.arange(phi_lo, theta_phi[i])
         num = e - shifts[i]
         src = num // p
         ok = (num % p == 0) & (src >= lo) & (src < hi)
         own = e >= lo
-        rows[ok] = G.encode_rows(field.mul_matrix(Ci[i]) @ b[(i + 1) % f, src[ok] - lo])
-        rows[own] = G.sub(rows[own], G.encode_rows(b[i, e[own] - lo]))
-        for k, c in enumerate(E):
-            rows[:, k] = G.add(rows[:, k], G.encode_rows(c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i])))
+        mu = np.array([c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i]) for c in E], dtype=np.int64).reshape(nE, len(e), m).transpose(1, 2, 0)
+        live = ok | own | mu.any(axis=(1, 2))  # the other rows of the block are zero
+        rows = np.zeros((live.sum(), m, B), dtype=np.int64)
+        rows[ok[live]] = field.mul_matrix(Ci[i]) @ b[(i + 1) % f, src[ok] - lo]
+        rows[own[live]] -= b[i, e[own] - lo]
+        rows[:, :, :nE] += mu[live]
+        next(blocks)[live] = G.encode_rows(rows)
     if cycle_slot:
         next(blocks)[:] = G.encode_rows(obstruction[None])
-    for name, i, theta in gens:
-        rows = next(blocks)
-        if theta <= floor:
-            continue
+    for name, theta in theta_gen.items():
+        top = max(floor + 1, *theta)  # one gamma batch on [floor, top): an image row depends only on rows at or below it
         gamma = ctx.eta if name == "eta" else ctx.xi
-        img = ctx.op_lambda_gamma_rows(gamma, module.sigma(i), b[i, floor - lo : theta - lo], floor, theta)
-        for k, c in enumerate(E):
-            img[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta)
-        rows[:] = G.encode_rows(img)
+        x = b[:, floor - lo : top - lo].transpose(1, 0, 2, 3)  # components on axis 1
+        img = ctx.op_lambda_gamma_rows(gamma, [module.sigma(i) for i in range(f)], x, floor, top)
+        for i in range(f):
+            rows = img[: max(theta[i] - floor, 0), i]
+            for k, c in enumerate(E):
+                rows[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
+            next(blocks)[:] = G.encode_rows(rows)
     return out
 
 

@@ -98,20 +98,20 @@ def _pack(rows: np.ndarray, w: int, slot: int) -> int:
 def convolve_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The product in F_p[pi, x] of (ka, da) and (kb, db) coefficient arrays (rows the
     powers of pi, columns those of x), of shape (ka + kb - 1, da + db - 1), by exact
-    Kronecker substitution: each operand becomes one Python int with x at one slot and pi
-    at a stride of w = da + db - 1 slots, so one int product holds every coefficient.  A
-    slot is a whole number of bytes above min(ka, kb) min(da, db) (p-1)^2, so no carry
-    crosses it."""
+    Kronecker substitution: each operand becomes one Python int with pi at one slot and x
+    at a stride of n = ka + kb - 1 slots, so one int product holds every coefficient, and
+    an F_p factor (one column) packs to ka slots, a short int against a long one.  A slot is
+    a whole number of bytes above min(ka, kb) min(da, db) (p-1)^2, so no carry crosses it."""
     a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
     (ka, da), (kb, db) = a.shape, b.shape
     n, w = max(ka + kb - 1, 0), max(da + db - 1, 0)
     if not (n and da and db):
         return np.zeros((n, w), dtype=np.int64)
     slot = ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8
-    prod = _pack(a, w, slot) * _pack(b, w, slot)
-    digits = np.frombuffer(prod.to_bytes(n * w * slot, "little"), dtype=np.uint8).reshape(n, w, slot)
+    prod = _pack(a.T, n, slot) * _pack(b.T, n, slot)
+    digits = np.frombuffer(prod.to_bytes(w * n * slot, "little"), dtype=np.uint8).reshape(w, n, slot)
     weights = np.array([pow(256, j, p) for j in range(slot)], dtype=np.int64)
-    return digits.astype(np.int64) @ weights % p  # slot value mod p, in int64 under any promotion rules
+    return (digits.astype(np.int64) @ weights % p).T  # slot value mod p, in int64 under any promotion rules
 
 
 @dataclass(frozen=True)
@@ -357,9 +357,6 @@ class Field:
     def frobenius(self, x: FieldElement, k: int = 1) -> FieldElement:
         """x^(p^k); k may be any non-negative integer, frobenius(x, m) = x."""
         return x ** (self.p ** (k % self.m))
-
-    def in_subfield_k(self, x: FieldElement) -> bool:
-        return x ** (self.p**self.f) == x
 
     def elements(self) -> Iterable[FieldElement]:
         for idx in range(self.q):

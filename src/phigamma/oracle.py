@@ -27,6 +27,8 @@ class LemmaReport:
 
 
 LEMMAS = ("delta", "gamma_n", "gamma", "cyc", "p2lambda", "p2H", "trick", "trick_plus")
+# stated for p > 2 (delta and cyc divide chibar(eta) - 1 by 2; at p = 2 build_H is the p2H construction)
+ODD_P_LEMMAS = ("delta", "cyc", "trick", "trick_plus")
 
 
 def _vp(n: int, p: int) -> int:
@@ -59,6 +61,8 @@ def verify_lemma(ctx: Context, name: str, **params) -> LemmaReport:
     """Check one lemma instance; see LEMMAS for the available names."""
     p, f = ctx.p, ctx.f
     field = ctx.field
+    if name in ODD_P_LEMMAS and p == 2:
+        return LemmaReport(name, params, False, "precondition: p > 2")
     if name == "delta":
         sigma, s = int(params["sigma"]), int(params["s"])
         t = sigma + s * (p**f - 1) // (p - 1)
@@ -174,6 +178,8 @@ def verify_lemma(ctx: Context, name: str, **params) -> LemmaReport:
 
 def default_grid(ctx: Context, name: str):
     p, f = ctx.p, ctx.f
+    if name in ODD_P_LEMMAS and p == 2:  # left out, as the p2 lemmas are at p > 2
+        return []
     if name == "delta":
         return [
             {"sigma": sig, "s": s}

@@ -146,9 +146,6 @@ class TateElement:
     def min_order(self):
         return min(a.order for a in self.comps)
 
-    def min_low(self):
-        return min(a.low for a in self.comps)
-
     def __repr__(self):
         return "TateElement(%s)" % (", ".join(repr(c) for c in self.comps))
 
@@ -290,14 +287,13 @@ class Context:
         R = order + K
         P = pascal_size(p, R)
         perm = np.arange(P) * (gamma.chi_int % P) % P
-        flat = x.reshape(order - floor, -1)
-        out = np.zeros_like(flat)
-        cols = np.flatnonzero(flat.any(axis=0))  # zero columns stay zero
+        out = np.zeros((order - floor, x[0].size), dtype=np.int64)
+        cols = np.flatnonzero(x.any(axis=0))  # zero columns stay zero; a strided batch is gathered, not copied
         width = max(1, _WORK // P)
         for j in range(0, len(cols), width):
             group = cols[j : j + width]
             z = np.zeros((P, len(group)), dtype=np.int64)
-            z[K + floor : R] = flat[:, group]
+            z[K + floor : R] = x[(slice(None), *np.unravel_index(group, x.shape[1:]))]
             y = pascal_transform(z, p, live=R)
             z = np.zeros_like(z)
             z[perm[: len(y)]] = y
@@ -349,18 +345,20 @@ class Context:
         out = self.lambda_pow(gamma, sigma) * img - s
         return out if out_order is None else out.truncate(out_order)
 
-    def op_lambda_gamma_rows(self, gamma: GammaElement, sigma: int, x: np.ndarray, floor: int, order: int) -> np.ndarray:
+    def op_lambda_gamma_rows(self, gamma: GammaElement, sigma, x: np.ndarray, floor: int, order: int) -> np.ndarray:
         """(lambda_gamma^sigma * gamma - 1) on a batch of series given as in
-        ``gamma_act_rows``, exact on [floor, order).  lambda has F_p coefficients, so
-        one ``convolve_rows`` product with it takes every nonzero F_p column of the
-        batch as its own x-slot, and the columns do not mix."""
+        ``gamma_act_rows``, exact on [floor, order); sigma may be one exponent per index
+        of axis 1 (the components).  lambda has F_p coefficients, so one ``convolve_rows``
+        product with it per sigma takes every nonzero F_p column as its own x-slot."""
         n = order - floor
-        lam = self.lambda_pow(gamma, sigma).coeff_rows(0, n)[:, :1]
-        img = self.gamma_act_rows(gamma, x, floor, order).reshape(n, -1)
-        cols = np.flatnonzero(img.any(axis=0))
-        out = np.zeros_like(img)
-        out[:, cols] = convolve_rows(lam, img[:, cols], self.p)[:n]
-        return (out.reshape(x.shape) - x) % self.p
+        img = self.gamma_act_rows(gamma, x, floor, order).reshape(n, np.size(sigma), -1)
+        for i, s in enumerate(np.atleast_1d(sigma).tolist()):
+            lam = self.lambda_pow(gamma, s).coeff_rows(0, n)[:, :1]
+            cols = np.flatnonzero(img[:, i].any(axis=0))  # the other columns stay zero
+            img[:, i, cols] = convolve_rows(lam, img[:, i, cols], self.p)[:n]
+        img = img.reshape(x.shape)
+        img -= x
+        return np.remainder(img, self.p, out=img)
 
     def op_lambda_gamma_monomial(self, gamma: GammaElement, sigma: int, e: int, out_order=None) -> LaurentSeries:
         return self.op_lambda_gamma(gamma, sigma, self.pi(e), out_order)

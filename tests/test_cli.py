@@ -121,8 +121,9 @@ def test_verify_exits_5_when_a_lemma_fails(tmp_path, monkeypatch, capsys):
         ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, "PrecisionError", 4),
         ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "PivotError", 6),
         ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "NonBijectiveError", 6),
+        ("sweep", ["verify"], {"p": 3, "f": 1}, "FieldError", 6),
     ],
-    ids=["commutation", "g0", "zero-division", "precision-stays-4", "pivot", "non-bijective"],
+    ids=["commutation", "g0", "zero-division", "precision-stays-4", "pivot", "non-bijective", "field-error"],
 )
 def test_arithmetic_failure_exits_with_json_error(target, argv, cfg, exc, code, tmp_path, monkeypatch, capsys):
     from phigamma import cli
@@ -174,6 +175,17 @@ def test_verify_subcommand():
     d = json.loads(run_cli(["verify", "--lemma", "gamma_n"], {"p": 3, "f": 1}).stdout)
     assert d["failures"] == 0
     assert d["reports"]["gamma_n"]["cases"] > 0
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_verify_at_p2(f):
+    """The lemmas stated for p > 2 have no cases at p = 2; the p = 2 lemmas run and pass."""
+    r = run_cli(["verify"], {"p": 2, "f": f})
+    assert r.returncode == 0, r.stderr
+    d = json.loads(r.stdout)
+    assert d["failures"] == 0
+    assert all(d["reports"][name]["cases"] == 0 for name in ("delta", "cyc", "trick", "trick_plus"))
+    assert d["reports"]["p2H"]["cases"] > 0 and d["reports"]["gamma"]["cases"] > 0
 
 
 def test_wach_example71():

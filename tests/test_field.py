@@ -200,6 +200,16 @@ def int_convolve_rows(a, b, p):
         (65521, 30, 40, 2, 3),
         (2**31 - 1, 300, 280, 1, 3),  # 9-byte slots
         (2**31 - 1, 120, 130, 3, 3),
+        # the x-outer layout: lopsided shapes both ways, one column against 3-40
+        (5, 3, 400, 1, 3),
+        (5, 400, 3, 1, 40),
+        (5, 1, 60, 1, 12),  # ka = 1
+        (5, 70, 1, 2, 5),  # kb = 1
+        (5, 50, 45, 4, 1),  # da > 1 against db = 1
+        (2, 200, 3, 1, 40),
+        (2, 1, 30, 3, 1),
+        (2**31 - 1, 5, 200, 1, 40),
+        (2**31 - 1, 300, 5, 3, 1),
     ],
 )
 def test_convolve_rows_matches_int_reference(p, ka, kb, da, db):

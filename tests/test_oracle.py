@@ -31,6 +31,10 @@ def test_precondition_errors():
     assert not rep2.passed
     with pytest.raises(ValueError):
         verify_lemma(ctx, "nonsense")
+    ctx2 = ctx_for(2, 1)  # the lemmas stated for p > 2 (at p = 2 delta and cyc would divide by 2)
+    for name, params in [("delta", {"sigma": 0, "s": -1}), ("cyc", {"s": -1}), ("trick_plus", {"c": (1,), "i": 0})]:
+        rep = verify_lemma(ctx2, name, **params)
+        assert not rep.passed and rep.detail == "precondition: p > 2"
 
 
 def test_default_sweeps_pass_p3():

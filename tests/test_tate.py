@@ -243,6 +243,28 @@ def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
                 assert np.array_equal(got[:, :, k], want.coeff_rows(floor, order)), (gamma, floor, order, k)
 
 
+@pytest.mark.parametrize("p,f,m", [(2, 2, 2), (2, 3, 3), (3, 3, 3), (5, 2, 2)])
+def test_op_lambda_gamma_rows_sigma_per_component(p, f, m):
+    """One call with a sigma per component (axis 1 of x, a strided view as in the
+    residual systems) against f single-sigma calls, on random windows with poles."""
+    ctx = ctx_for(p, f, m)
+    rng = random.Random(9000 * p + 10 * f + m)
+    gen = np.random.default_rng(9000 * p + 10 * f + m)
+    for gamma in [ctx.eta, ctx.xi]:
+        for k in range(4):
+            floor = rng.randrange(ctx.L, 0) if k < 2 else rng.randrange(0, ctx.M // 2)  # two with poles
+            order = rng.randrange(floor + 1, min(ctx.M, floor + ctx.M) + 1)
+            sigmas = [rng.randrange(p**f) for _ in range(f)]
+            x = gen.integers(0, p, (f, order - floor, m, 5)).transpose(1, 0, 2, 3)
+            x[:, :, :, 1] = 0  # a zero column
+            x[:, 0, :, 2] = 0  # zero in one component only
+            got = ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, order)
+            assert got.shape == x.shape
+            for i, sigma in enumerate(sigmas):
+                want = ctx.op_lambda_gamma_rows(gamma, sigma, np.ascontiguousarray(x[:, i]), floor, order)
+                assert np.array_equal(got[:, i], want), (gamma, floor, order, i)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_chi_eta_must_generate_gamma(p):
     """A chi_eta is accepted exactly when it generates Gamma: for p > 2 when it
