@@ -52,6 +52,15 @@ def load_config(args) -> dict:
         raise ConfigError("cannot read config: %s" % exc)
 
 
+def _integral(value, name: str):
+    """An optional integer of the config; a number with a fractional part is refused, not truncated."""
+    if value is None:
+        return None
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError("'%s' must be an integer, not %r" % (name, value))
+    return int(value)
+
+
 def build_context(cfg: dict, scale: int = 1):
     try:
         p = int(cfg["p"])
@@ -67,10 +76,10 @@ def build_context(cfg: dict, scale: int = 1):
         field = make_field(FieldSpec(p, f, m, modulus))
         ctx = Context(
             field,
-            pi_order=prec.get("pi_order"),
-            tail_floor=prec.get("tail_floor"),
-            chi_eta=cfg.get("chi_eta"),
-            padic_depth=int(prec.get("padic_depth", 3)),
+            pi_order=_integral(prec.get("pi_order"), "pi_order"),
+            tail_floor=_integral(prec.get("tail_floor"), "tail_floor"),
+            chi_eta=_integral(cfg.get("chi_eta"), "chi_eta"),
+            padic_depth=_integral(prec.get("padic_depth", 3), "padic_depth"),
         )
         if scale != 1:
             ctx = ctx.scaled(scale)

@@ -18,12 +18,13 @@ transport solve and gives the coboundary test its witness.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FieldElement
-from .series import LaurentSeries, PrecisionError
+from .series import INF, LaurentSeries, PrecisionError
 from .tate import Context, GammaElement, NonBijectiveError, TateElement, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
 from .gflinalg import gf
@@ -66,11 +67,9 @@ class Cocycle:
         if k < 1:
             raise ValueError("need k >= 1")
         mu = self.mu_eta()
-        gamma = ctx.eta
         kappa = self.module.kappa_gamma(ctx.eta)
         for _ in range(k - 1):
             mu = kappa * ctx.gamma_act(ctx.eta, mu) + self.mu_eta()
-            # accumulate gamma = eta^j on the left: kappa stays kappa_gamma(eta)
         return mu
 
     def generators(self):
@@ -207,84 +206,71 @@ def _chain_length(module: RankOneModule, i: int) -> int:
     return r
 
 
-def _pivot_block(module: RankOneModule, sigma: int, j: int):
-    """The rescue block h'^(j): principal pi^(1 + p^j - 2 p^(j+1)), eliminated on
-    its p^j grid until the residual sits at the pivot exponent 1 - p^(j+1).
+def _image(op, e: int, lo: int, stop: int):
+    """pi^e and its image op(pi^e) on [lo, stop), as F_p coefficient arrays: exact on
+    the pole window alone, because an image row depends only on source rows at or below it."""
+    x = np.zeros((stop - lo, 1), dtype=np.int64)
+    x[e - lo] = 1
+    return x[:, 0], op(x, lo, stop)[:, 0]
 
-    Returns (block, residual); the pivot coefficient nu' is residual at the
-    stuck exponent and is asserted nonzero (Props on the modified construction)."""
-    ctx = module.ctx
-    p = ctx.p
-    stuck = 1 - p ** (j + 1)
-    e0 = 1 + p**j - 2 * p ** (j + 1)
-    block = ctx.pi(e0)
-    residual = ctx.op_lambda_gamma_monomial(ctx.eta, sigma, e0)
+
+def eliminate(op, p: int, x: np.ndarray, res: np.ndarray, lo: int, stop: int, skip=()):
+    """Greedy valuation elimination, in place on F_p coefficient arrays on [lo, stop): x a
+    source and res = op(x).  While res has a nonzero exponent v outside ``skip``, the
+    lowest one is cancelled by subtracting a multiple of pi^v from x and the same multiple
+    of its image from res.  op(rows, floor, order) is an F_p-linear operator, exact on
+    [floor, order).  Returns the first stuck exponent, where the image of pi^v has no
+    leading term, or None."""
+    live = np.ones(stop - lo, dtype=bool)
+    live[[e - lo for e in skip]] = False
     while True:
-        v = residual.val()
-        if v is None or v >= 0:
-            raise PivotError("rescue block residual skipped the pivot exponent %d" % stuck)
-        if v == stuck:
-            break
-        if v % (p - 1) == 0:
-            raise PivotError("rescue block stuck at unexpected exponent %d" % v)
-        q = ctx.op_lambda_gamma_monomial(ctx.eta, sigma, v)
-        if q.val() != v:
-            raise PivotError("elimination image lost its leading term at %d" % v)
-        coef = residual.coeff(v) / q.coeff(v)
-        block = block - ctx.pi(v, coef)
-        residual = residual - q.scale(coef)
-    if not residual.coeff(stuck):
-        raise PivotError("pivot nu' vanishes at exponent %d" % stuck)
-    return block, residual
+        nz = np.flatnonzero(res.astype(bool) & live)
+        if nz.size == 0:
+            return None
+        v = lo + int(nz[0])
+        _, q = _image(op, v, v, stop)
+        if not q[0]:
+            return v
+        c = res[v - lo] * pow(int(q[0]), -1, p) % p
+        x[v - lo] = (x[v - lo] - c) % p
+        res[v - lo :] = (res[v - lo :] - c * q) % p
+
+
+def _series(field, lo: int, x: np.ndarray) -> LaurentSeries:
+    """The Laurent polynomial with F_p coefficients x on exponents from lo."""
+    rows = np.zeros((len(x), field.m), dtype=np.int64)
+    rows[:, 0] = x
+    return LaurentSeries(field, lo, INF, rows)
 
 
 def build_H(module: RankOneModule, i: int, collect_pivots=None) -> LaurentSeries:
     """The principal part H_i with (lambda_eta^Sigma_i eta - 1)(H_i) in F[[pi]].
 
-    Greedy elimination from the deepest exponent up; exponents divisible by
-    p - 1 cannot self-eliminate and are cancelled against a rescue block."""
+    Greedy elimination from pi^(1 - p^(r+2)) up to pi^0.  It sticks at the exponents
+    1 - p^(j+1), j <= r, which are cancelled against the rescue block h'^(j): pi^(1 + p^j
+    - 2 p^(j+1)) eliminated until it sticks at the same exponent, where its residual is
+    the pivot nu' (Props on the modified construction)."""
     ctx = module.ctx
     p = ctx.p
-    sigma = module.sigma(i)
     r = _chain_length(module, i)
     if p == 2:
         return _build_H_p2(module, i, r)
-    e0 = 1 - p ** (r + 2)
-    H = ctx.pi(e0)
-    residual = ctx.op_lambda_gamma_monomial(ctx.eta, sigma, e0)
-    guard = 0
-    last_v = None
-    while True:
-        v = residual.val()
-        if v is None or v >= 0:
-            break
-        if last_v is not None and v <= last_v:
-            raise PivotError("elimination failed to increase the minimal exponent")
-        last_v = v
-        guard += 1
-        if guard > 4 * p ** (r + 2):
-            raise PivotError("elimination did not terminate")
-        if v % (p - 1) == 0:
-            # stuck exponent must be 1 - p^(j+1) for some rescue level j <= r
-            j = 0
-            while 1 - p ** (j + 1) != v and j <= r:
-                j += 1
-            if j > r:
-                raise PivotError("stuck at exponent %d outside the rescue schedule" % v)
-            block, block_res = _pivot_block(module, sigma, j)
-            if collect_pivots is not None:
-                collect_pivots.append((j, residual.coeff(v), block_res.coeff(v)))
-            coef = residual.coeff(v) / block_res.coeff(v)
-            H = H - block.scale(coef)
-            residual = residual - block_res.scale(coef)
-        else:
-            q = ctx.op_lambda_gamma_monomial(ctx.eta, sigma, v)
-            if q.val() != v:
-                raise PivotError("elimination image lost its leading term at %d" % v)
-            coef = residual.coeff(v) / q.coeff(v)
-            H = H - ctx.pi(v, coef)
-            residual = residual - q.scale(coef)
-    return H
+    op = functools.partial(ctx.op_lambda_gamma_rows, ctx.eta, module.sigma(i))
+    lo = 1 - p ** (r + 2)
+    x, res = _image(op, lo, lo, 0)
+    while (v := eliminate(op, p, x, res, lo, 0)) is not None:
+        j = next((j for j in range(r + 1) if v == 1 - p ** (j + 1)), None)
+        if j is None:
+            raise PivotError("stuck at exponent %d outside the rescue schedule" % v)
+        block, block_res = _image(op, 1 + p**j - 2 * p ** (j + 1), lo, 0)
+        if eliminate(op, p, block, block_res, lo, 0) != v:
+            raise PivotError("rescue block %d missed its pivot exponent %d" % (j, v))
+        if collect_pivots is not None:
+            collect_pivots.append((j, ctx.field.coerce(res[v - lo]), ctx.field.coerce(block_res[v - lo])))
+        c = res[v - lo] * pow(int(block_res[v - lo]), -1, p)
+        x = (x - c * block) % p
+        res = (res - c * block_res) % p
+    return _series(ctx.field, lo, x)
 
 
 def _build_H_p2(module: RankOneModule, i: int, r: int) -> LaurentSeries:
@@ -395,31 +381,18 @@ def build_Btr(module: RankOneModule) -> Cocycle:
     p = ctx.p
     if p == 2 or not module.is_cyclotomic_shape():
         raise ValueError("build_Btr needs p > 2 and the cyclotomic module")
-    chib = ctx.chibar(ctx.eta)
+    chib = ctx.chi_eta % p
 
-    def op(s):
-        return ctx.gamma_act_series(ctx.eta, s).scale(chib) - s
+    def op(x, floor, order):
+        return (chib * ctx.gamma_act_rows(ctx.eta, x, floor, order) - x) % p
 
-    e0 = 1 - 2 * p
-    hprime = ctx.pi(e0)
-    residual = op(hprime)
-    kept = {-p, -1}
-    while True:
-        v = residual.val()
-        if v is None or v >= 1:
-            break
-        cand = [e for e in range(v, 1) if e not in kept and residual.coeff(e)]
-        if not cand:
-            break
-        e = cand[0]
-        if (e + 1) % (p - 1) == 0:
-            raise PivotError("stuck outside the kept slots at exponent %d" % e)
-        q = op(ctx.pi(e))
-        if q.val() != e:
-            raise PivotError("cyclotomic elimination lost its pivot at %d" % e)
-        coef = residual.coeff(e) / q.coeff(e)
-        hprime = hprime - ctx.pi(e, coef)
-        residual = residual - q.scale(coef)
+    lo = 1 - 2 * p
+    x, res = _image(op, lo, lo, 1)
+    v = eliminate(op, p, x, res, lo, 1, skip=(-p, -1))
+    if v is not None:
+        raise PivotError("stuck outside the kept slots at exponent %d" % v)
+    hprime = _series(ctx.field, lo, x)
+    residual = ctx.gamma_act_series(ctx.eta, hprime).scale(chib) - hprime
     alpha = residual.coeff(-p)
     beta = residual.coeff(-1)
     if not alpha or beta != -alpha:
@@ -435,35 +408,15 @@ def build_Btr(module: RankOneModule) -> Cocycle:
 
 
 def _trivial_H(ctx: Context):
-    """H = pi^(1-p) + eliminations with (eta - 1)(H) in nu + pi F[[pi]], nu != 0."""
-    p = ctx.p
-
-    def op(s):
-        return ctx.gamma_act_series(ctx.eta, s) - s
-
-    if p == 2:
-        H = ctx.pi(-1)
-        residual = op(H)
-        v = residual.val()
-        if v is not None and v < 0:
-            raise PivotError("p=2 trivial H not integral")
-        return H, residual.coeff(0) if residual.known(0) else ctx.field.zero()
-    H = ctx.pi(1 - p)
-    residual = op(H)
-    while True:
-        v = residual.val()
-        if v is None or v >= 0:
-            break
-        q = op(ctx.pi(v))
-        if q.val() != v:
-            raise PivotError("trivial-module elimination lost its pivot at %d" % v)
-        coef = residual.coeff(v) / q.coeff(v)
-        H = H - ctx.pi(v, coef)
-        residual = residual - q.scale(coef)
-    nu = residual.coeff(0)
-    if not nu:
-        raise PivotError("trivial-module nu vanished")
-    return H, nu
+    """H = pi^(1-p) + eliminations with (eta - 1)(H) in nu + pi F[[pi]]; nu is the
+    residual at pi^0, where the elimination sticks."""
+    op = functools.partial(ctx.op_lambda_gamma_rows, ctx.eta, 0)
+    lo = 1 - ctx.p
+    x, res = _image(op, lo, lo, 1)
+    v = eliminate(op, ctx.p, x, res, lo, 1)
+    if v is not None and v < 0:
+        raise PivotError("trivial-module elimination stuck at exponent %d" % v)
+    return _series(ctx.field, lo, x), ctx.field.coerce(res[-lo])
 
 
 def build_trivial_basis(module: RankOneModule):
@@ -506,6 +459,8 @@ def build_Bcyc(module: RankOneModule) -> Cocycle:
     if not module.is_trivial_shape() or ctx.p == 2:
         raise ValueError("build_Bcyc needs p > 2 and the trivial module")
     _H, nu = _trivial_H(ctx)
+    if not nu:
+        raise PivotError("trivial-module nu vanished")
     mu_phi = ctx.tate_zero(ctx.M)
     mu_gen = {"eta": ctx.tate_const([nu] * ctx.f)}
     return Cocycle(module, mu_phi, mu_gen, "B_cyc")

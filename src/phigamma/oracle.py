@@ -70,7 +70,7 @@ def verify_lemma(ctx: Context, name: str, **params) -> LemmaReport:
         if v < 0:
             return LemmaReport(name, params, False, "precondition: v_p is infinite")
         eta = ctx.eta
-        lhs = ctx.op_lambda_gamma_monomial(eta, sigma, s)
+        lhs = ctx.op_lambda_gamma(eta, sigma, ctx.pi(s))
         chib = ctx.chibar(eta)
         sv = _digit(t, p, v)
         main = LaurentSeries.monomial(field, s, chib**s - 1) + LaurentSeries.monomial(
@@ -99,7 +99,7 @@ def verify_lemma(ctx: Context, name: str, **params) -> LemmaReport:
         xi = ctx.xi
         z = ctx.z_of_xi()
         sv = field.coerce(_digit(t, p, v))
-        lhs = ctx.op_lambda_gamma_monomial(xi, sigma, s)
+        lhs = ctx.op_lambda_gamma(xi, sigma, ctx.pi(s))
         main = LaurentSeries.monomial(field, s + (p - 1) * p**v, sv * z) + LaurentSeries.monomial(
             field, s + p ** (v + 1), sv * z
         )

@@ -14,6 +14,8 @@ The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .field import Field, FieldElement, convolve_rows
@@ -175,6 +177,8 @@ class Context:
         self.L = int(tail_floor) if tail_floor is not None else -4 * p**f
         if self.L >= 0 or self.M <= 0:
             raise ValueError("need tail_floor < 0 < pi_order")
+        if padic_depth < 1:
+            raise ValueError("need padic_depth >= 1")
         self.padic_depth = padic_depth
         self.chi_eta = int(chi_eta) if chi_eta is not None else canonical_chi_eta(p)
         if not generates_gamma(p, self.chi_eta):
@@ -243,26 +247,28 @@ class Context:
 
         return _cache((self.field.key, gamma.chi_int, a, "winv"), build)
 
-    def gamma_act_series(self, gamma: GammaElement, s: LaurentSeries, out_order=None) -> LaurentSeries:
-        """Substitute pi -> gamma(pi) in one Laurent series (a batch of width 1 of
-        ``gamma_act_rows``).  A series with a pole is claimed to M - L + 1 + floor."""
+    def _width_one(self, rows_op, s: LaurentSeries, out_order, pole_window: int) -> LaurentSeries:
+        """A rows operator (``gamma_act_rows`` or ``op_lambda_gamma_rows``) on one series, a
+        batch of width 1.  The image is claimed to the order of s, M and ``out_order``, and
+        a series with a pole to pole_window + floor."""
         order = min(s.order, self.M)
         if out_order is not None:
             order = min(order, out_order)
         if s.is_zero():
             return LaurentSeries.zero(self.field, order)
-        if gamma.chi_int == 1:
-            return s.truncate(order)
         if s.floor < 0:
             if s.order < 0:
                 raise PrecisionError("a pole series needs its coefficients up to pi^0")
-            # a pole of depth d is claimed to M - L + 1 - d; coboundary windows downstream are sized by it
-            order = min(order, self.M - self.L + 1 + s.floor)
+            order = min(order, pole_window + s.floor)
         order = int(order)
         if order <= s.floor:
             return LaurentSeries.zero(self.field, order)
-        rows = self.gamma_act_rows(gamma, s.coeff_rows(s.floor, order), s.floor, order)
-        return LaurentSeries(self.field, s.floor, order, rows)
+        return LaurentSeries(self.field, s.floor, order, rows_op(s.coeff_rows(s.floor, order), s.floor, order))
+
+    def gamma_act_series(self, gamma: GammaElement, s: LaurentSeries, out_order=None) -> LaurentSeries:
+        """Substitute pi -> gamma(pi) in one Laurent series.  A series with a pole is
+        claimed to M - L + 1 + floor; coboundary windows downstream are sized by it."""
+        return self._width_one(functools.partial(self.gamma_act_rows, gamma), s, out_order, self.M - self.L + 1)
 
     def gamma_act_rows(self, gamma: GammaElement, x: np.ndarray, floor: int, order: int) -> np.ndarray:
         """gamma on a batch of series that vanish below ``floor``, given by their
@@ -340,10 +346,9 @@ class Context:
         return self.field.coerce(gamma.chi_int)
 
     def op_lambda_gamma(self, gamma: GammaElement, sigma: int, s: LaurentSeries, out_order=None) -> LaurentSeries:
-        """(lambda_gamma^sigma * gamma - 1)(s)."""
-        img = self.gamma_act_series(gamma, s, out_order)
-        out = self.lambda_pow(gamma, sigma) * img - s
-        return out if out_order is None else out.truncate(out_order)
+        """(lambda_gamma^sigma * gamma - 1)(s).  A series with a pole is claimed to
+        M + floor, where lambda's window ends (inside the pole window of ``gamma_act_series``)."""
+        return self._width_one(functools.partial(self.op_lambda_gamma_rows, gamma, sigma), s, out_order, self.M)
 
     def op_lambda_gamma_rows(self, gamma: GammaElement, sigma, x: np.ndarray, floor: int, order: int) -> np.ndarray:
         """(lambda_gamma^sigma * gamma - 1) on a batch of series given as in
@@ -359,9 +364,6 @@ class Context:
         img = img.reshape(x.shape)
         img -= x
         return np.remainder(img, self.p, out=img)
-
-    def op_lambda_gamma_monomial(self, gamma: GammaElement, sigma: int, e: int, out_order=None) -> LaurentSeries:
-        return self.op_lambda_gamma(gamma, sigma, self.pi(e), out_order)
 
 
 def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSeries) -> LaurentSeries:

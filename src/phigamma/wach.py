@@ -266,8 +266,8 @@ class PadicContext:
 
     def __init__(self, ctx: Context, depth=None, pi_order=None):
         self.ctx = ctx
-        self.ring = PadicRing(ctx.field, depth or ctx.padic_depth)
-        self.M = int(pi_order or ctx.M)
+        self.ring = PadicRing(ctx.field, ctx.padic_depth if depth is None else depth)
+        self.M = int(ctx.M if pi_order is None else pi_order)
         self.p, self.f, self.m = ctx.p, ctx.f, ctx.m
         self._subst = {}  # a -> _subst_matrix(a)
         self._units = {}  # chi(gamma) -> GammaUnits

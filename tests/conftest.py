@@ -51,3 +51,11 @@ def ctx21():
 @pytest.fixture(scope="session")
 def ctx22():
     return ctx_for(2, 2)
+
+
+def ref_op_lambda_gamma(ctx, gamma, sigma, s, out_order=None):
+    """(lambda_gamma^sigma * gamma - 1)(s) as series arithmetic: one gamma action, one
+    series product with lambda^sigma; the reference for ``Context.op_lambda_gamma``."""
+    img = ctx.gamma_act_series(gamma, s, out_order)
+    out = ctx.lambda_pow(gamma, sigma) * img - s
+    return out if out_order is None else out.truncate(out_order)

@@ -77,6 +77,15 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, precision={"tail_floor": 0}), "classify"),
         # GF tables stop at q = 4096; refused before any window is built
         ({"p": 17, "f": 3, "C": 1, "c": [1, 2, 3]}, "vj-table"),
+        # a p-adic depth below 1 would divide by zero in the Wach reduction
+        (dict(GOOD, precision={"padic_depth": 0}), "wach reduce"),
+        (dict(GOOD, precision={"padic_depth": -1}), "wach reduce"),
+        (dict(GOOD, precision={"padic_depth": 0}), "wach example71"),
+        # a number with a fractional part is refused, not truncated
+        (dict(GOOD, p=5, chi_eta=2.5), "classify"),
+        (dict(GOOD, precision={"padic_depth": 1.5}), "wach reduce"),
+        (dict(GOOD, precision={"pi_order": 100.5}), "classify"),
+        (dict(GOOD, precision={"tail_floor": -10.5}), "classify"),
     ],
     ids=[
         "pi_order<0",
@@ -93,10 +102,17 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "pi_order=0",
         "tail_floor=0",
         "vj-table-q>4096",
+        "padic_depth=0-reduce",
+        "padic_depth=-1-reduce",
+        "padic_depth=0-example71",
+        "chi_eta=2.5",
+        "padic_depth=1.5",
+        "pi_order=100.5",
+        "tail_floor=-10.5",
     ],
 )
 def test_malformed_config_exits_2_with_json_error(cfg, cmd):
-    r = run_cli([cmd], cfg, timeout=60)
+    r = run_cli(cmd.split(), cfg, timeout=60)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert "error" in json.loads(r.stderr)

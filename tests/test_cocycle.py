@@ -27,7 +27,7 @@ from phigamma.gflinalg import gf
 from phigamma.series import INF
 from phigamma.tate import solve_phi_minus_one
 
-from conftest import ctx_for
+from conftest import ctx_for, ref_op_lambda_gamma
 
 
 def rand_tate(ctx, rng, lo=-6, hi=4):
@@ -311,7 +311,7 @@ def _ref_mu_gamma_from_H(module, i, H, gamma):
     p, f = ctx.p, ctx.f
     sigma = module.sigma(i)
     G = [None] * f
-    G[i] = _ref_solve_phi_minus_one(ctx, module.C, sigma, ctx.op_lambda_gamma(gamma, sigma, H))
+    G[i] = _ref_solve_phi_minus_one(ctx, module.C, sigma, ref_op_lambda_gamma(ctx, gamma, sigma, H))
     k = (i - 1) % f
     while G[k] is None:
         nxt = _uncapped(G[(k + 1) % f], p).shift((p - 1) * module.c[k]).truncate(ctx.M)

@@ -210,6 +210,9 @@ def int_convolve_rows(a, b, p):
         (2, 1, 30, 3, 1),
         (2**31 - 1, 5, 200, 1, 40),
         (2**31 - 1, 300, 5, 3, 1),
+        # all-(p-1) operands: the top coefficient 10 * 2 * 4^2 = 320 needs a second byte,
+        # which a slot sized without min(da, db) (10 * 4^2 = 160) would not give
+        (5, 10, 10, 2, 2),
     ],
 )
 def test_convolve_rows_matches_int_reference(p, ka, kb, da, db):
@@ -224,3 +227,6 @@ def test_convolve_rows_matches_int_reference(p, ka, kb, da, db):
         assert ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8 == 9
     # entries of any sign mean their residues mod p
     assert np.array_equal(convolve_rows(a - p, b + 2 * p, p), got)
+    # all-(p-1) operands fill the slot up to its bound min(ka, kb) min(da, db) (p-1)^2
+    a[:], b[:] = p - 1, p - 1
+    assert np.array_equal(convolve_rows(a, b, p), int_convolve_rows(a, b, p))

@@ -8,7 +8,7 @@ from phigamma import Context, LaurentSeries, NonBijectiveError, PrecisionError, 
 from phigamma.series import INF, one_plus_pi_pow
 from phigamma.tate import _POLE_STEPS
 
-from conftest import ctx_for
+from conftest import ctx_for, ref_op_lambda_gamma
 
 
 def rand_series(field, rng, lo, hi, order):
@@ -218,7 +218,7 @@ def test_gamma_act_matches_direct_composition(p, f, m, monkeypatch):
 @pytest.mark.parametrize("p,f,m", [(2, 2, 2), (3, 2, 2), (5, 2, 2), (5, 1, 3)])
 def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
     """The batched (lambda^sigma gamma - 1), one convolve_rows product for the whole
-    batch, against op_lambda_gamma on each column: wide batches of series with
+    batch, against the series reference on each column: wide batches of series with
     poles, some columns zero and some with F_p coefficients only."""
     ctx = ctx_for(p, f, m)
     F = ctx.field
@@ -238,9 +238,32 @@ def test_op_lambda_gamma_rows_matches_per_column(p, f, m):
             assert got.shape == x.shape
             for k in range(B):
                 s = LaurentSeries(F, floor, order, x[:, :, k])
-                want = ctx.op_lambda_gamma(gamma, sigma, s, out_order=order)
+                want = ref_op_lambda_gamma(ctx, gamma, sigma, s, out_order=order)
                 assert want.order >= order
                 assert np.array_equal(got[:, :, k], want.coeff_rows(floor, order)), (gamma, floor, order, k)
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 3), (5, 2)])
+def test_op_lambda_gamma_matches_series_reference(p, f):
+    """op_lambda_gamma, a batch of width 1, against the series reference in floor, order
+    and rows: random series with poles down to the tail floor, power series, polynomials
+    of infinite order, zero series, out_order cuts, sigma of either sign, and chi = 1."""
+    ctx = ctx_for(p, f)
+    rng = random.Random(11000 * p + f)
+    M, L = ctx.M, ctx.L
+    gammas = [ctx.eta, ctx.xi, ctx.eta**-1, ctx.gamma_from_chi(1)]
+    cases = [(L, 3, M), (-2 * p, p, INF), (-1, 0, 0), (0, 5, M), (3, 2 * p, INF), (M - 3, M + 2, INF), (-p, p, M // 2)]  # (lo, hi, order)
+    for gamma in gammas:
+        for lo, hi, order in cases:
+            for out_order in (None, M // 3, 1, -p // 2):
+                sigma = rng.randrange(-p, p**f)
+                for s in (rand_series(ctx.field, rng, lo, hi, order), ctx.zero_series(order), ctx.pi(lo)):
+                    got = ctx.op_lambda_gamma(gamma, sigma, s, out_order)
+                    want = ref_op_lambda_gamma(ctx, gamma, sigma, s, out_order)
+                    assert got == want, (gamma, lo, hi, order, out_order, sigma)
+    for gamma in gammas:  # a pole series known only below pi^0
+        with pytest.raises(PrecisionError):
+            ctx.op_lambda_gamma(gamma, 1, LaurentSeries.from_pairs(ctx.field, {L - 1: 1, -2: 1}, -1))
 
 
 @pytest.mark.parametrize("p,f,m", [(2, 2, 2), (2, 3, 3), (3, 3, 3), (5, 2, 2)])

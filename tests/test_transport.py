@@ -20,7 +20,7 @@ from phigamma.cocycle import PhiTransport
 from phigamma.gflinalg import gf
 from phigamma.tate import _solve_c_phi_minus_one, phi_transport, solve_phi_unit_tail
 
-from conftest import ctx_for
+from conftest import ctx_for, ref_op_lambda_gamma
 
 # (5, 1) has profiles with theta_phi below the tail floor (the cyclotomic J = S, plus)
 GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2)]
@@ -218,7 +218,7 @@ def ref_bounded_column(sys_, E=None, param_index=None):
         gamma = ctx.eta if name == "eta" else ctx.xi
         for i in range(f):
             theta = sys_.theta_gen[name][i]
-            img = ctx.op_lambda_gamma(gamma, sys_.module.sigma(i), bseries[i], out_order=theta)
+            img = ref_op_lambda_gamma(ctx, gamma, sys_.module.sigma(i), bseries[i], out_order=theta)
             if E is not None:
                 img = img + (E.mu_xi() if name == "xi" else E.mu_gen[name]).comps[i]
             pieces.append(sys_.G.encode_rows(img.coeff_rows(sys_.gen_lo, theta)))

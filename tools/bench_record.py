@@ -1,0 +1,79 @@
+"""Summarise the perfbench runs of a parent commit and a change into one BENCH_<n>.json.
+
+    python3 tools/bench_record.py --parent-sha SHA --change-sha SHA \
+        --parent runs/parent/*.json --change runs/change/*.json > BENCH_<n>.json
+
+Each input is the result file of one ``perfbench/run.py`` run (it writes
+``perfbench/out/<workload>-seed<N>-trace0.json``; copy it aside after each run).
+Per workload and side the record keeps the median and every run's value of each
+end-to-end metric, the rounds of each run, failed/attempted over all runs and the
+``src/`` line count; per workload it counts the units run on both sides (same round and unit id)
+and those whose output digests differ.  A SHA defaults to the one the runs recorded.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+
+
+def load(paths) -> dict:
+    """The result files by workload, in the order given."""
+    runs = {}
+    for path in paths:
+        with open(path) as fh:
+            run = json.load(fh)
+        runs.setdefault(run["meta"]["workload"], []).append(run)
+    return runs
+
+
+def summary(runs: list, sha) -> dict:
+    metrics = {}
+    for name, m in runs[0]["metrics"].items():
+        values = [run["metrics"][name]["value"] for run in runs]
+        metrics[name] = {"unit": m["unit"], "median": statistics.median(values), "runs": values}
+    return {
+        "sha": sha or runs[0]["meta"]["git_sha"],
+        "src_lines": sorted({run["meta"]["src_lines"] for run in runs}),
+        "runs": len(runs),
+        "rounds": [run["rounds"] for run in runs],
+        "failed": sum(run["failed"] for run in runs),
+        "attempted": sum(run["attempted"] for run in runs),
+        "metrics": metrics,
+    }
+
+
+def digests(runs: list) -> dict:
+    """(round, unit id) -> the set of output digests the runs recorded for it."""
+    out = {}
+    for run in runs:
+        for r, uid, h in run["digests"]:
+            out.setdefault((r, uid), set()).add(h)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", nargs="+", required=True, help="result files of the parent commit")
+    ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
+    ap.add_argument("--parent-sha")
+    ap.add_argument("--change-sha")
+    args = ap.parse_args(argv)
+    parent, change = load(args.parent), load(args.change)
+    record = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        record[workload] = {
+            "parent": summary(parent[workload], args.parent_sha),
+            "change": summary(change[workload], args.change_sha),
+        }
+        p, c = digests(parent[workload]), digests(change[workload])
+        common = p.keys() & c.keys()
+        record[workload]["digests"] = {"units_compared": len(common), "mismatches": sum(len(p[k] | c[k]) > 1 for k in common)}
+    json.dump(record, sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
