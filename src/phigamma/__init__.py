@@ -37,7 +37,6 @@ from .bounded import SubspaceReport, TwistedCocycle, compute_VJ, iota_twist, is_
 from .wach import (
     PadicContext,
     PadicRing,
-    PadicSeries,
     WachRankOne,
     WachRankTwo,
     big_lambda_gamma,

@@ -21,7 +21,7 @@ from .rankone import RankOneModule, fundamental_character_exponents, normal_form
 from .cocycle import PivotError, basis_for
 from .bounded import vj_table
 from .gflinalg import TABLE_LIMIT
-from .wach import PadicContext, PadicSeries, WachRankTwo, build_wach_rank1, example71, reduce_mod_p, saturation_check, wach_gamma_table
+from .wach import PadicContext, WachRankTwo, build_wach_rank1, example71, reduce_mod_p, saturation_check, wach_gamma_table
 from .oracle import LEMMAS, sweep
 
 SCHEMA_VERSION = "1"
@@ -192,18 +192,16 @@ def _series_from_json(field, entry, order) -> LaurentSeries:
     return LaurentSeries.from_pairs(field, pairs, order)
 
 
-def _padic_series_from_json(ring, entry, order) -> PadicSeries:
-    import numpy as _np
-
+def _padic_series_from_json(ring, entry, order) -> LaurentSeries:
     if not entry:
-        return PadicSeries.zero(ring, order)
+        return LaurentSeries.zero(ring, order)
     exps = sorted(int(k) for k in entry)
     lo = exps[0]
-    rows = _np.zeros((exps[-1] - lo + 1, ring.m), dtype=_np.int64)
+    rows = np.zeros((exps[-1] - lo + 1, ring.m), dtype=np.int64)
     for k, vec in entry.items():
         vec = vec if isinstance(vec, list) else [vec]
-        rows[int(k) - lo, : len(vec)] = [int(x) % ring.pN for x in vec]
-    return PadicSeries(ring, lo, order, rows)
+        rows[int(k) - lo, : len(vec)] = [int(x) % ring.N for x in vec]
+    return LaurentSeries(ring, lo, order, rows)
 
 
 def cmd_wach(args) -> int:

@@ -89,29 +89,86 @@ def _width(rows: np.ndarray) -> int:
 def _pack(rows: np.ndarray, w: int, slot: int) -> int:
     """sum rows[i, s] 2^(8 slot (i w + s)), from little-endian bytes."""
     k, d = rows.shape
-    vb = min(slot, 8)  # entries are < p and (p-1)^2 fits in a slot
+    vb = min(slot, 8)  # entries are < N and (N-1)^2 fits in a slot
     buf = np.zeros((k, w, slot), dtype=np.uint8)
     buf[:, :d, :vb] = np.ascontiguousarray(rows, dtype="<i8").view(np.uint8).reshape(k, d, 8)[..., :vb]
     return int.from_bytes(buf.tobytes(), "little")
 
 
-def convolve_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product in F_p[pi, x] of (ka, da) and (kb, db) coefficient arrays (rows the
+def convolve_rows(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """The product in Z/N[pi, x] of (ka, da) and (kb, db) coefficient arrays (rows the
     powers of pi, columns those of x), of shape (ka + kb - 1, da + db - 1), by exact
     Kronecker substitution: each operand becomes one Python int with pi at one slot and x
     at a stride of n = ka + kb - 1 slots, so one int product holds every coefficient, and
-    an F_p factor (one column) packs to ka slots, a short int against a long one.  A slot is
-    a whole number of bytes above min(ka, kb) min(da, db) (p-1)^2, so no carry crosses it."""
-    a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
+    a Z/N factor (one column) packs to ka slots, a short int against a long one.  A slot is
+    a whole number of bytes above min(ka, kb) min(da, db) (N-1)^2, so no carry crosses it."""
+    a, b = np.asarray(a, dtype=np.int64) % N, np.asarray(b, dtype=np.int64) % N
     (ka, da), (kb, db) = a.shape, b.shape
     n, w = max(ka + kb - 1, 0), max(da + db - 1, 0)
     if not (n and da and db):
         return np.zeros((n, w), dtype=np.int64)
-    slot = ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8
+    slot = ((min(ka, kb) * min(da, db) * (N - 1) ** 2).bit_length() + 7) // 8
     prod = _pack(a.T, n, slot) * _pack(b.T, n, slot)
     digits = np.frombuffer(prod.to_bytes(w * n * slot, "little"), dtype=np.uint8).reshape(w, n, slot)
-    weights = np.array([pow(256, j, p) for j in range(slot)], dtype=np.int64)
-    return (digits.astype(np.int64) @ weights % p).T  # slot value mod p, in int64 under any promotion rules
+    weights = np.array([pow(256, j, N) for j in range(slot)], dtype=np.int64)
+    return (digits.astype(np.int64) @ weights % N).T  # slot value mod N, in int64 under any promotion rules
+
+
+def _reduction_table(modulus, N: int) -> np.ndarray:
+    """Row k is x^k mod g over Z/N, k < 2m - 1, m = deg g: the reduction by the monic
+    lead^-1 g, so the leading coefficient of g need only be a unit mod N."""
+    m = len(modulus) - 1
+    inv = pow(int(modulus[-1]), -1, N)
+    g = [int(c) * inv % N for c in modulus[:-1]]
+    red = np.zeros((2 * m - 1, m), dtype=np.int64)
+    row = [1] + [0] * (m - 1)
+    for k in range(2 * m - 1):
+        red[k] = row
+        row = [(r - row[-1] * gi) % N for r, gi in zip([0] + row[:-1], g)]  # x row, as x^m = -(g_0 + ... + g_(m-1) x^(m-1))
+    return red
+
+
+class ResidueRing:
+    """Z/N[x]/(g) on coefficient rows of length m = deg g: the arithmetic that
+    F_{p^m} (N = p) and W(F_{p^m})/p^n (N = p^n, g lifted to Z) share."""
+
+    def __init__(self, modulus, N: int):
+        self.N, self.m = N, len(modulus) - 1
+        self._red = _reduction_table(modulus, N)
+
+    def row(self, c) -> np.ndarray:
+        """The coefficient row of a scalar: an int (a constant) or a length-m row."""
+        if isinstance(c, (int, np.integer)):
+            out = np.zeros(self.m, dtype=np.int64)
+            out[0] = int(c) % self.N
+            return out
+        return np.asarray(c, dtype=np.int64) % self.N
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m): the
+        ``convolve_rows`` product of their nonzero columns (up to the highest), reduced
+        by the modulus."""
+        N, m = self.N, self.m
+        a, b = np.asarray(a, dtype=np.int64) % N, np.asarray(b, dtype=np.int64) % N
+        da, db = _width(a), _width(b)
+        if not (da and db):
+            return np.zeros((max(len(a) + len(b) - 1, 0), m), dtype=np.int64)
+        prod = convolve_rows(a[:, :da], b[:, :db], N)
+        return prod @ self._red[: da + db - 1] % N  # rows k < m of _red are x^k: a Z/N factor is only padded
+
+    def mul_matrix(self, c) -> np.ndarray:
+        """The m x m matrix of x -> c x on coefficient columns:
+        mul_matrix(c) @ row(x) = row(c x) mod N."""
+        m = self.m
+        shifted = np.zeros((m, 2 * m - 1), dtype=np.int64)
+        c = self.row(c)
+        for j in range(m):
+            shifted[j, j : j + m] = c  # c x^j before reduction
+        return (shifted @ self._red % self.N).T
+
+    def scale_rows(self, rows: np.ndarray, c) -> np.ndarray:
+        """Each coefficient row times the scalar c."""
+        return rows @ self.mul_matrix(c).T % self.N
 
 
 @dataclass(frozen=True)
@@ -208,7 +265,7 @@ class FieldElement:
         return "F%d(%s)" % (self.field.q, list(self.coeffs))
 
 
-class Field:
+class Field(ResidueRing):
     """F_{p^m} with dense mod-p coefficient vectors and exact arithmetic."""
 
     def __init__(self, spec: FieldSpec):
@@ -223,17 +280,12 @@ class Field:
             raise FieldError("modulus degree %d != m = %d" % (len(modulus) - 1, m))
         if m == 1 and tuple(modulus) != (0, 1):
             raise FieldError("degree-1 modulus must be x (coefficients (0, 1))")
+        super().__init__(modulus, p)
         self.spec = spec
-        self.p, self.f, self.m = p, f, m
+        self.p, self.f = p, f
         self.q = p**m
         self.modulus = tuple(modulus)
         self._check_irreducible()
-        # reduction matrix: row k = x^k mod modulus, k = 0..2m-2
-        red = np.zeros((2 * m - 1, m), dtype=np.int64)
-        for k in range(2 * m - 1):
-            r = _poly_mod([0] * k + [1], modulus, p)
-            red[k, : len(r)] = r
-        self._red = red
         self._zero = FieldElement(self, (0,) * m)
         self._one = FieldElement(self, (1,) + (0,) * (m - 1))
         self._gen = None
@@ -306,27 +358,13 @@ class Field:
         prod = _poly_mod(prod, list(self.modulus), self.p)
         return FieldElement(self, tuple(prod + [0] * (self.m - len(prod))))
 
-    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Convolution of coefficient-row arrays (ka, m) x (kb, m) -> (ka+kb-1, m): the
-        ``convolve_rows`` product of their nonzero columns (up to the highest), reduced
-        by the modulus."""
-        p, m = self.p, self.m
-        a, b = np.asarray(a, dtype=np.int64) % p, np.asarray(b, dtype=np.int64) % p
-        da, db = _width(a), _width(b)
-        if not (da and db):
-            return np.zeros((max(len(a) + len(b) - 1, 0), m), dtype=np.int64)
-        prod = convolve_rows(a[:, :da], b[:, :db], p)
-        return prod @ self._red[: da + db - 1] % p  # rows k < m of _red are x^k: an F_p factor is only padded
+    mul_rows = ResidueRing.mul_rows  # an attribute of Field itself, so a profiler can wrap it alone
 
-    def mul_matrix(self, c) -> np.ndarray:
-        """The m x m F_p matrix of x -> c x on coefficient columns:
-        mul_matrix(c) @ x.row() = (c x).row() mod p."""
-        c = self.coerce(c)
-        m = self.m
-        shifted = np.zeros((m, 2 * m - 1), dtype=np.int64)
-        for j in range(m):
-            shifted[j, j : j + m] = c.coeffs  # c x^j before reduction
-        return (shifted @ self._red % self.p).T
+    def row(self, c) -> np.ndarray:
+        return self.coerce(c).row() if isinstance(c, FieldElement) else super().row(c)
+
+    def unit_inv_scalar(self, row: np.ndarray) -> np.ndarray:
+        return self.from_row(row).inv().row()
 
     # -- structure ------------------------------------------------------------
     def generator(self) -> FieldElement:

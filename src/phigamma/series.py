@@ -1,6 +1,7 @@
-"""Truncated Laurent series over F_{p^m} with explicit support windows.
+"""Truncated Laurent series over a coefficient ring with explicit support windows.
 
-A series is known exactly on exponents [floor, order); ``order`` may be
+The ring is F_{p^m} (a ``Field``) or W(F_{p^m})/p^N (a ``wach.PadicRing``).  A
+series is known exactly on exponents [floor, order); ``order`` may be
 ``math.inf`` for exact Laurent polynomials.  Arithmetic tracks the reliable
 window and never silently extends it.
 """
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .field import Field, FieldElement
+from .field import Field, FieldElement, ResidueRing
 
 INF = math.inf
 
@@ -79,14 +80,16 @@ def _as_order(x):
 class LaurentSeries:
     """Coefficients on exponents [floor, floor + len(rows)); zero up to ``order``.
 
-    Rows are numpy int64 vectors of length m (the field degree).  The leading
-    row is nonzero and trailing zero rows are trimmed, so exponents in
-    [floor + len(rows), order) carry implicit zeros.
+    Rows are numpy int64 vectors of length m over the coefficient ring ``field``
+    (a ``ResidueRing``: Z/N[x]/(g)), reduced mod N.  The leading row is nonzero and
+    trailing zero rows are trimmed, so exponents in [floor + len(rows), order)
+    carry implicit zeros.  Methods that take or return a ``FieldElement`` need a
+    ``Field``.
     """
 
     __slots__ = ("field", "floor", "order", "rows")
 
-    def __init__(self, field: Field, floor: int, order, rows: np.ndarray, _normalized=False):
+    def __init__(self, field: ResidueRing, floor: int, order, rows: np.ndarray, _normalized=False):
         self.field = field
         self.order = _as_order(order)
         if _normalized:
@@ -98,7 +101,7 @@ class LaurentSeries:
             rows = rows.reshape(-1, field.m)
         if self.order != INF:
             rows = rows[: max(0, self.order - floor)]
-        rows = rows % field.p  # after the cut, so no row beyond the window stays referenced
+        rows = rows % field.N  # after the cut, so no row beyond the window stays referenced
         nz = np.flatnonzero(rows.any(axis=1))
         if nz.size == 0:
             self.floor = self.order
@@ -110,22 +113,22 @@ class LaurentSeries:
 
     # -- constructors ----------------------------------------------------------
     @classmethod
-    def zero(cls, field: Field, order=INF) -> "LaurentSeries":
+    def zero(cls, field: ResidueRing, order=INF) -> "LaurentSeries":
         return cls(field, _as_order(order), order, np.zeros((0, field.m), dtype=np.int64), _normalized=True)
 
     @classmethod
-    def monomial(cls, field: Field, n: int, coeff=1, order=INF) -> "LaurentSeries":
-        c = field.coerce(coeff) if not isinstance(coeff, FieldElement) else coeff
-        if not c:
+    def monomial(cls, field: ResidueRing, n: int, coeff=1, order=INF) -> "LaurentSeries":
+        row = field.row(coeff)
+        if not row.any():
             return cls.zero(field, order)
-        return cls(field, n, order, c.row().reshape(1, -1))
+        return cls(field, n, order, row.reshape(1, -1))
 
     @classmethod
-    def one(cls, field: Field, order=INF) -> "LaurentSeries":
+    def one(cls, field: ResidueRing, order=INF) -> "LaurentSeries":
         return cls.monomial(field, 0, 1, order)
 
     @classmethod
-    def const(cls, field: Field, c, order=INF) -> "LaurentSeries":
+    def const(cls, field: ResidueRing, c, order=INF) -> "LaurentSeries":
         return cls.monomial(field, 0, c, order)
 
     @classmethod
@@ -187,7 +190,7 @@ class LaurentSeries:
 
     # -- arithmetic ----------------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.field, other)
         order = min(self.order, other.order)
         sups = [s.floor + len(s.rows) for s in (self, other) if len(s.rows)]
@@ -201,10 +204,10 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.floor, self.order, (-self.rows) % self.field.p, _normalized=True)
+        return LaurentSeries(self.field, self.floor, self.order, (-self.rows) % self.field.N, _normalized=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.field, other)
         return self + (-other)
 
@@ -212,16 +215,13 @@ class LaurentSeries:
         return (-self) + other
 
     def scale(self, c) -> "LaurentSeries":
-        c = self.field.coerce(c)
-        if not c:
-            return LaurentSeries.zero(self.field, self.order if self.is_zero() else INF if self.order == INF else self.order)
+        """Times the scalar c (an int, a coefficient row, or a FieldElement over a Field)."""
         if self.is_zero():
             return self
-        rows = self.rows @ self.field.mul_matrix(c).T % self.field.p
-        return LaurentSeries(self.field, self.floor, self.order, rows, _normalized=False)
+        return LaurentSeries(self.field, self.floor, self.order, self.field.scale_rows(self.rows, c))
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if not isinstance(other, LaurentSeries):
             return self.scale(other)
         if self.field is not other.field and self.field.key != other.field.key:
             raise ValueError("series over different fields")
@@ -267,10 +267,10 @@ class LaurentSeries:
         if self.is_zero():
             raise ZeroDivisionError("cannot invert a series that vanishes on its window")
         v = self.floor
+        c0 = self.field.unit_inv_scalar(self.rows[0])
         if order is None:
             if self.order == INF and len(self.rows) == 1:
-                c = self.field.from_row(self.rows[0]).inv()
-                return LaurentSeries.monomial(self.field, -v, c)
+                return LaurentSeries.monomial(self.field, -v, c0)
             if self.order == INF:
                 raise PrecisionError("inverting an exact polynomial needs an explicit order")
             rel = self.order - v
@@ -281,8 +281,7 @@ class LaurentSeries:
         if rel <= 0:
             raise PrecisionError("no relative precision available for inversion")
         u = LaurentSeries(self.field, 0, rel, self.rows)  # unit part, val 0
-        c0 = self.field.from_row(self.rows[0])
-        x = LaurentSeries.const(self.field, c0.inv(), 1)
+        x = LaurentSeries.const(self.field, c0, 1)
         prec = 1
         while prec < rel:
             prec = min(2 * prec, rel)
@@ -294,8 +293,8 @@ class LaurentSeries:
         return x.shift(-v)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(self.field.coerce(other).inv())
+        if not isinstance(other, LaurentSeries):
+            return self.scale(self.field.unit_inv_scalar(self.field.row(other)))
         return self * other.inv_unit()
 
     def pow(self, e: int, order=None) -> "LaurentSeries":
@@ -314,15 +313,19 @@ class LaurentSeries:
     # -- comparison helpers ------------------------------------------------------
     def agrees_with(self, other, lo=None, hi=None) -> bool:
         """Equality of coefficients on the common (or given) window."""
-        if isinstance(other, (int, FieldElement)):
+        if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.field, other)
         lo = min(self.low, other.low) if lo is None else lo
         hi = min(self.order, other.order) if hi is None else hi
         if hi == INF:
-            hi = max(self.floor + len(self.rows), other.floor + len(other.rows), lo)
+            hi = max([s.floor + len(s.rows) for s in (self, other) if len(s.rows)], default=lo)
         if lo >= hi:
             return True
         return bool(np.array_equal(self.coeff_rows(lo, hi), other.coeff_rows(lo, hi)))
+
+    def reduce_mod_p(self, field: Field) -> "LaurentSeries":
+        """The same floor, order and rows over ``field``, reduced mod its p."""
+        return LaurentSeries(field, self.floor, self.order, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -338,9 +341,7 @@ class LaurentSeries:
         )
 
     def __repr__(self):
-        terms = []
-        for n, c in list(self.items())[:8]:
-            terms.append("%s*pi^%d" % (list(c.coeffs), n))
+        terms = ["%s*pi^%d" % (self.rows[n - self.floor].tolist(), n) for n in self.support()[:8]]
         tail = " + ..." if len(self.rows) > 8 else ""
         o = "inf" if self.order == INF else str(self.order)
         return "<series %s%s + O(pi^%s)>" % (" + ".join(terms) or "0", tail, o)

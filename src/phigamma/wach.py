@@ -13,60 +13,29 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import Field
+from .field import Field, ResidueRing
 from .series import INF, LaurentSeries, PrecisionError
 from .tate import Context, GammaElement
 from .rankone import RankOneModule, sigma_twisted
 
 
-class PadicRing:
-    """W(F_{p^m})/p^N with polynomial representatives modulo a lifted modulus."""
+class PadicRing(ResidueRing):
+    """W(F_{p^m})/p^depth as Z/p^depth[x] modulo the integer lift of the field modulus."""
 
     def __init__(self, field: Field, depth: int):
-        self.field = field
-        self.p, self.m = field.p, field.m
-        self.depth = depth
-        self.pN = field.p**depth
-        m, pN = self.m, self.pN
-        modulus = [int(c) for c in field.modulus]
-        red = np.zeros((2 * m - 1, m), dtype=np.int64)
-        for k in range(2 * m - 1):
-            poly = [0] * k + [1]
-            while len(poly) - 1 >= m:
-                c = poly[-1] % pN
-                d = len(poly) - 1 - m
-                for i, mi in enumerate(modulus):
-                    poly[d + i] = (poly[d + i] - c * mi) % pN
-                while poly and poly[-1] % pN == 0:
-                    poly.pop()
-            row = [0] * m
-            for i, c in enumerate(poly):
-                row[i] = c % pN
-            red[k] = row
-        self._red = red
+        super().__init__(field.modulus, field.p**depth)
+        self.field, self.p, self.depth = field, field.p, depth
 
-    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ka, kb, m = a.shape[0], b.shape[0], self.m
-        if ka == 0 or kb == 0:
-            return np.zeros((0, m), dtype=np.int64)
-        acc = np.zeros((ka + kb - 1, 2 * m - 1), dtype=np.int64)
-        for i in range(m):
-            ca = a[:, i]
-            if not ca.any():
-                continue
-            for j in range(m):
-                cb = b[:, j]
-                if cb.any():
-                    acc[:, i + j] += np.convolve(ca, cb)
-        return (acc % self.pN) @ self._red % self.pN
+    @property
+    def key(self):
+        return (self.field.key, self.depth)
 
     def mul_scalar(self, a_row, b_row) -> np.ndarray:
         return self.mul_rows(np.asarray(a_row).reshape(1, -1), np.asarray(b_row).reshape(1, -1))[0]
 
     def pow_scalar(self, row, e: int) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.int64)
-        out[0] = 1
-        base = np.array(row, dtype=np.int64) % self.pN
+        out = self.row(1)
+        base = self.row(row)
         while e:
             if e & 1:
                 out = self.mul_scalar(out, base)
@@ -75,188 +44,23 @@ class PadicRing:
         return out
 
     def unit_inv_scalar(self, row: np.ndarray) -> np.ndarray:
-        x = self.field.from_row(np.asarray(row) % self.p)
+        x = self.field.from_row(row)
         if not x:
             raise ZeroDivisionError("not a unit in W/p^N")
-        cur = x.inv().row() % self.pN
-        r = np.asarray(row, dtype=np.int64) % self.pN
+        cur = x.inv().row()
+        r = self.row(row)
         for _ in range(self.depth.bit_length() + 2):
-            prod = self.mul_scalar(r, cur)
-            corr = (-prod) % self.pN
-            corr[0] = (corr[0] + 2) % self.pN
+            corr = (-self.mul_scalar(r, cur)) % self.N
+            corr[0] = (corr[0] + 2) % self.N
             cur = self.mul_scalar(cur, corr)
         return cur
 
     def teichmuller(self, c) -> np.ndarray:
         """The Teichmuller lift of a field element: the limit of x^(q^k)."""
-        cur = c.row() % self.pN
+        cur = c.row()
         for _ in range(self.depth + 2):
             cur = self.pow_scalar(cur, self.field.q)
         return cur
-
-
-class PadicSeries:
-    """Truncated series over W/p^N on exponents [floor, order)."""
-
-    __slots__ = ("ring", "floor", "order", "rows")
-
-    def __init__(self, ring: PadicRing, floor: int, order, rows, _normalized=False):
-        self.ring = ring
-        self.order = order if order == INF else int(order)
-        rows = np.asarray(rows, dtype=np.int64) % ring.pN
-        if rows.ndim == 1:
-            rows = rows.reshape(-1, ring.m)
-        if not _normalized:
-            nz = np.flatnonzero(rows.any(axis=1))
-            if nz.size == 0:
-                floor, rows = self.order, rows[:0]
-            else:
-                lo, hi = int(nz[0]), int(nz[-1])
-                floor, rows = floor + lo, rows[lo : hi + 1]
-            if floor != INF and self.order != INF and floor + len(rows) > self.order:
-                rows = rows[: max(0, self.order - floor)]
-                if len(rows) == 0 or not rows.any():
-                    floor, rows = self.order, rows[:0]
-        self.floor = floor
-        self.rows = np.ascontiguousarray(rows)
-
-    @classmethod
-    def zero(cls, ring, order=INF):
-        return cls(ring, order if order == INF else int(order), order, np.zeros((0, ring.m), dtype=np.int64), True)
-
-    @classmethod
-    def monomial(cls, ring, n, coeff_row, order=INF):
-        return cls(ring, n, order, np.asarray(coeff_row, dtype=np.int64).reshape(1, -1))
-
-    @classmethod
-    def one(cls, ring, order=INF):
-        row = np.zeros(ring.m, dtype=np.int64)
-        row[0] = 1
-        return cls.monomial(ring, 0, row, order)
-
-    @classmethod
-    def const_int(cls, ring, v, order=INF):
-        row = np.zeros(ring.m, dtype=np.int64)
-        row[0] = v % ring.pN
-        return cls.monomial(ring, 0, row, order)
-
-    @property
-    def low(self):
-        return self.floor if len(self.rows) else self.order
-
-    def val(self):
-        return self.floor if len(self.rows) else None
-
-    def is_zero(self):
-        return len(self.rows) == 0
-
-    def coeff_rows(self, lo, hi):
-        if hi <= lo:
-            return np.zeros((0, self.ring.m), dtype=np.int64)
-        if hi > self.order:
-            raise PrecisionError("padic window [%d, %d) exceeds order %s" % (lo, hi, self.order))
-        out = np.zeros((hi - lo, self.ring.m), dtype=np.int64)
-        a, b = max(lo, self.floor), min(hi, self.floor + len(self.rows))
-        if a < b:
-            out[a - lo : b - lo] = self.rows[a - self.floor : b - self.floor]
-        return out
-
-    def coeff(self, n):
-        return self.coeff_rows(n, n + 1)[0]
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        sups = [s.floor + len(s.rows) for s in (self, other) if len(s.rows)]
-        if not sups:
-            return PadicSeries.zero(self.ring, order)
-        lo = int(min(s.low for s in (self, other) if len(s.rows)))
-        hi = int(max(min(order, max(sups)), lo))
-        return PadicSeries(self.ring, lo, order, self.coeff_rows(lo, hi) + other.coeff_rows(lo, hi))
-
-    def __neg__(self):
-        return PadicSeries(self.ring, self.floor, self.order, (-self.rows) % self.ring.pN, True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        order = min(self.order + other.low, other.order + self.low)
-        if self.is_zero() or other.is_zero():
-            return PadicSeries.zero(self.ring, order)
-        rows = self.ring.mul_rows(self.rows, other.rows)
-        return PadicSeries(self.ring, self.floor + other.floor, order, rows)
-
-    def shift(self, k):
-        return PadicSeries(self.ring, self.floor + k, self.order if self.order == INF else self.order + k, self.rows, True)
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return PadicSeries(self.ring, self.floor, order, self.rows)
-
-    def scale_row(self, row):
-        if self.is_zero():
-            return self
-        rows = self.ring.mul_rows(self.rows, np.asarray(row, dtype=np.int64).reshape(1, -1))
-        return PadicSeries(self.ring, self.floor, self.order, rows)
-
-    def inv_unit(self, order=None):
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero padic series")
-        v = self.floor
-        if order is None:
-            if self.order == INF and len(self.rows) == 1:
-                return PadicSeries.monomial(self.ring, -v, self.ring.unit_inv_scalar(self.rows[0]))
-            if self.order == INF:
-                raise PrecisionError("need explicit order")
-            rel = self.order - v
-        else:
-            rel = int(order) + v
-            if self.order != INF:
-                rel = min(rel, self.order - v)
-        u = PadicSeries(self.ring, 0, rel, self.rows, True)
-        x = PadicSeries.monomial(self.ring, 0, self.ring.unit_inv_scalar(self.rows[0]), 1)
-        prec = 1
-        while prec < rel:
-            prec = min(2 * prec, rel)
-            xe = PadicSeries(self.ring, x.floor, prec, x.rows, True)
-            e = PadicSeries.one(self.ring, prec) - u.truncate(prec) * xe
-            x = (xe + xe * e).truncate(prec)
-        return x.shift(-v)
-
-    def pow(self, e, order=None):
-        result = PadicSeries.one(self.ring, INF if order is None else order)
-        base = self
-        if e < 0:
-            base = base.inv_unit(order)
-            e = -e
-        if order is not None:
-            base = base.truncate(order + max(0, -e * min(0, self.low)))
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result if order is None else result.truncate(order)
-
-    def reduce_mod_p(self, field: Field) -> LaurentSeries:
-        if self.is_zero():
-            return LaurentSeries.zero(field, self.order)
-        return LaurentSeries(field, self.floor, self.order, self.rows % self.ring.p)
-
-    def agrees_with(self, other, lo=None, hi=None):
-        lo = min(self.low, other.low) if lo is None else lo
-        hi = min(self.order, other.order) if hi is None else hi
-        if hi == INF:
-            hi = max(self.floor + len(self.rows), other.floor + len(other.rows), lo)
-        if lo >= hi:
-            return True
-        return bool(np.array_equal(self.coeff_rows(lo, hi), other.coeff_rows(lo, hi)))
-
-    def __repr__(self):
-        o = "inf" if self.order == INF else str(self.order)
-        return "<padic floor=%s order=%s terms=%d>" % (self.floor, o, len(self.rows))
 
 
 class PadicContext:
@@ -273,17 +77,16 @@ class PadicContext:
         self._units = {}  # chi(gamma) -> GammaUnits
 
     def pi(self, n=1, order=INF):
-        return PadicSeries.monomial(self.ring, n, [1] + [0] * (self.m - 1), order)
+        return LaurentSeries.monomial(self.ring, n, 1, order)
 
-    def one_plus_pi_pow_int(self, a: int, order: int) -> PadicSeries:
+    def one_plus_pi_pow_int(self, a: int, order: int) -> LaurentSeries:
         """(1+pi)^a mod (p^N, pi^order) from exact integer binomials."""
-        pN = self.ring.pN
         coeffs = np.zeros((order, self.m), dtype=np.int64)
         c = 1
         for j in range(order):
-            coeffs[j, 0] = c % pN
+            coeffs[j, 0] = c % self.ring.N
             c = c * (a - j) // (j + 1)
-        return PadicSeries(self.ring, 0, order, coeffs)
+        return LaurentSeries(self.ring, 0, order, coeffs)
 
     def _subst_matrix(self, a: int) -> np.ndarray:
         """matT[e, n] = coefficient of pi^e in w^n, w = (1+pi)^a - 1, n, e in [0, M),
@@ -291,7 +94,7 @@ class PadicContext:
         times w: its copies shifted by the exponents j of the terms of w, weighted
         by w_j.  It vanishes above row n, as w has valuation 1."""
         if a not in self._subst:
-            S, pN = self.M, self.ring.pN
+            S, pN = self.M, self.ring.N
             w = self.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
             J = np.flatnonzero(w[1:]) + 1
             matT = np.zeros((S, S), dtype=np.min_scalar_type(pN - 1))
@@ -307,10 +110,10 @@ class PadicContext:
             self._subst[a] = matT
         return self._subst[a]
 
-    def substitute(self, s: PadicSeries, a: int) -> PadicSeries:
+    def substitute(self, s: LaurentSeries, a: int) -> LaurentSeries:
         """s(pi) -> s((1+pi)^a - 1); requires floor >= 0."""
         if s.is_zero():
-            return PadicSeries.zero(self.ring, min(s.order, self.M))
+            return LaurentSeries.zero(self.ring, min(s.order, self.M))
         if s.low < 0:
             raise ValueError("integral substitution needs floor >= 0")
         order = int(min(s.order, self.M))
@@ -323,23 +126,23 @@ class PadicContext:
             hi = min(e + 64, order)
             n = min(hi, top)
             out[e:hi] = matT[e:hi, lo:n].astype(np.int64) @ head[: n - lo]
-        return PadicSeries(self.ring, 0, order, out % self.ring.pN)
+        return LaurentSeries(self.ring, 0, order, out)
 
-    def phi(self, s: PadicSeries, k: int = 1) -> PadicSeries:
+    def phi(self, s: LaurentSeries, k: int = 1) -> LaurentSeries:
         """phi^k: substitution by (1+pi)^(p^k) - 1."""
         return self.substitute(s, self.p**k)
 
-    def gamma(self, s: PadicSeries, gamma: GammaElement) -> PadicSeries:
+    def gamma(self, s: LaurentSeries, gamma: GammaElement) -> LaurentSeries:
         return self.substitute(s, gamma.chi_int)
 
-    def q_series(self, order=None) -> PadicSeries:
-        order = int(order or self.M)
-        num = self.one_plus_pi_pow_int(self.p, order + 1) - PadicSeries.one(self.ring, order + 1)
+    def q_series(self, order=None) -> LaurentSeries:
+        order = self.M if order is None else int(order)
+        num = self.one_plus_pi_pow_int(self.p, order + 1) - LaurentSeries.one(self.ring, order + 1)
         return num.shift(-1)
 
-    def q_over_gamma_q(self, gamma: GammaElement, order: int) -> PadicSeries:
+    def q_over_gamma_q(self, gamma: GammaElement, order: int) -> LaurentSeries:
         """q/gamma(q) = w/phi(w) with w = gamma(pi)/pi."""
-        w = (self.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(self.ring, order + 1)).shift(-1)
+        w = (self.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(self.ring, order + 1)).shift(-1)
         return (w * self.phi(w).inv_unit(order)).truncate(order)
 
     def units(self, gamma: GammaElement) -> "GammaUnits":
@@ -351,11 +154,11 @@ class PadicContext:
 def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
     """Lambda_gamma as the truncated product prod_j phi^(jf)(w/phi(w)); returns
     (series, cut_index)."""
-    order = int(order or pctx.M)
+    order = pctx.M if order is None else int(order)
     if gamma.chi_int == 1:
-        return PadicSeries.one(pctx.ring, order), 0
+        return LaurentSeries.one(pctx.ring, order), 0
     ratio = pctx.q_over_gamma_q(gamma, order)
-    one = PadicSeries.one(pctx.ring, order)
+    one = LaurentSeries.one(pctx.ring, order)
     acc = one
     factor = ratio
     cut = 0
@@ -387,7 +190,7 @@ class GammaUnits:
             self.bases[k] = pctx.phi(self.bases[k - 1])
         self.powers = {}
 
-    def pow(self, base, e: int) -> PadicSeries:
+    def pow(self, base, e: int) -> LaurentSeries:
         if (base, e) not in self.powers:
             self.powers[base, e] = self.bases[base].pow(e, self.order)
         return self.powers[base, e]
@@ -400,7 +203,7 @@ class WachRankOne:
     pctx: PadicContext
     Ctilde: np.ndarray  # row in W/p^N
     c: tuple
-    g_table: dict  # generator name -> list of f PadicSeries
+    g_table: dict  # generator name -> list of f series over pctx.ring
     cut_index: int
     g_bar: dict  # the g_table mod p, shared like it by every Ctilde of c
 
@@ -416,7 +219,7 @@ def wach_gamma_table(pctx: PadicContext, c) -> tuple:
     verified to precision."""
     f, p, order = pctx.f, pctx.p, pctx.M
     c = tuple(int(x) for x in c)
-    one = PadicSeries.one(pctx.ring, order)
+    one = LaurentSeries.one(pctx.ring, order)
     g_table, g_bar = {}, {}
     cut_max = 0
     for name, gamma in pctx.ctx.generators():
@@ -451,11 +254,9 @@ def build_wach_rank1(pctx: PadicContext, Ctilde, c, table=None) -> WachRankOne:
     passed in as the result of wach_gamma_table(pctx, c)) with the unit Ctilde."""
     c = tuple(int(x) for x in c)
     if isinstance(Ctilde, (int, np.integer)):
-        row = np.zeros(pctx.m, dtype=np.int64)
-        row[0] = int(Ctilde) % pctx.ring.pN
-        Ctilde = row
+        Ctilde = pctx.ring.row(int(Ctilde))
     else:
-        Ctilde = np.asarray(Ctilde, dtype=np.int64) % pctx.ring.pN
+        Ctilde = pctx.ring.row(Ctilde)
     if not pctx.ctx.field.from_row(Ctilde % pctx.p):
         raise ValueError("Ctilde must be a unit")
     return WachRankOne(pctx, Ctilde, c, *(table or wach_gamma_table(pctx, c)))
@@ -503,7 +304,7 @@ class WachRankTwo:
     """A rank-two lattice with per-embedding series entries (2x2 matrices)."""
 
     pctx: PadicContext
-    P: list  # P[r][c] = list of f PadicSeries
+    P: list  # P[r][c] = list of f series over pctx.ring
     G: dict  # name -> same shape
     a: tuple  # weights of the quotient line (a_i)
     b: tuple  # weights of the sub line (b_i)
@@ -618,17 +419,15 @@ def example71(pctx: PadicContext) -> tuple:
     ring = pctx.ring
     order = pctx.M
     q = pctx.q_series(order)
-    zero = PadicSeries.zero(ring, order)
-    one = PadicSeries.one(ring, order)
+    zero = LaurentSeries.zero(ring, order)
+    one = LaurentSeries.one(ring, order)
     P = [[[q.pow(p - 1, order)], [zero]], [[zero], [one]]]
     G = {}
     ctx = pctx.ctx
     for name, gamma in ctx.generators():
-        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(ring, order + 1)).shift(-1)
-        u = (w.truncate(order).scale_row(ring.unit_inv_scalar(np.array([gamma.chi_int % ring.pN] + [0] * (ring.m - 1))))).pow(
-            p - 1, order
-        )
-        low = PadicSeries.const_int(ring, (1 - gamma.chi_int ** (p - 1)) // p, order)
+        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(ring, order + 1)).shift(-1)
+        u = w.truncate(order).scale(ring.unit_inv_scalar(ring.row(gamma.chi_int))).pow(p - 1, order)
+        low = LaurentSeries.const(ring, (1 - gamma.chi_int ** (p - 1)) // p, order)
         entry = (u * low).shift(p - 1).truncate(order)
         G[name] = [[[u], [zero]], [[entry], [one]]]
     N = WachRankTwo(pctx, P, G, a=(0,), b=(p - 1,))
@@ -646,7 +445,7 @@ def split_lattice(pctx: PadicContext, b_weights, a_weights) -> tuple:
     order = pctx.M
     q = pctx.q_series(order)
     f = pctx.f
-    zero = PadicSeries.zero(ring, order)
+    zero = LaurentSeries.zero(ring, order)
     P = [
         [[q.pow(int(b_weights[i]), order) for i in range(f)], [zero] * f],
         [[zero] * f, [q.pow(int(a_weights[i]), order) for i in range(f)]],
@@ -673,7 +472,7 @@ def twist_rank_two(N: WachRankTwo, R: WachRankOne) -> WachRankTwo:
     order = pctx.M
     q = pctx.q_series(order)
     qc = [q.pow(int(R.c[i]), order) for i in range(f)]
-    qc[0] = qc[0].scale_row(R.Ctilde)
+    qc[0] = qc[0].scale(R.Ctilde)
     P = [[[(N.P[r][cc][i] * qc[i]).truncate(order) for i in range(f)] for cc in range(2)] for r in range(2)]
     G = {}
     for name in N.G:

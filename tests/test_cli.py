@@ -218,10 +218,9 @@ def test_wach_reduce_small():
     assert d["all_match"] is True
 
 
-def test_wach_saturate_roundtrip(tmp_path):
-    import sys as _sys
-
-    _sys.path.insert(0, "src")
+def write_split_lattice(path):
+    """The split lattice N(T_1) + N(T_2) at p = 3, f = 1, weights b = (2,), a = (0,), as a
+    lattice file for ``wach saturate``."""
     from phigamma import PadicContext, split_lattice
     from conftest import ctx_for
 
@@ -242,12 +241,68 @@ def test_wach_saturate_roundtrip(tmp_path):
         "G": {nm: [[[ser_json(N.G[nm][r][c][0])] for c in range(2)] for r in range(2)] for nm in N.G},
         "subline": [[ser_json(sub[0][0])], [ser_json(sub[1][0])]],
     }
-    path = tmp_path / "lattice.json"
     path.write_text(json.dumps(data))
+
+
+def test_wach_saturate_roundtrip(tmp_path):
+    path = tmp_path / "lattice.json"
+    write_split_lattice(path)
     r = run_cli(["wach", "saturate", str(path)], {"p": 3, "f": 1})
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert d["exact"] is True and d["t"] == [0]
+
+
+# sha256 of the stdout of the wach commands, recorded before series over W/p^N became
+# LaurentSeries over a PadicRing; the default modulus at every (p, f)
+WACH_DIGESTS = {
+    ("reduce", 2, 1): "eb08175f0f1b4ccf01784e5f283a8dbe631d710603b3970426edc9c5488fd704",
+    ("reduce", 2, 2): "e436f7ef7be3d48f9aff3cb55be7f2404b0cc22b84d2ba59b851cfe988a5e7e4",
+    ("reduce", 3, 1): "366d4fcfe6af9abcd8c836fd2754c59de3c3efdfc5a2ec636c49888e6b56e530",
+    ("reduce", 3, 2): "34d0c923c682520a1b17b5e868df3b955333456f7763efc6746680dba0e8cb3f",
+    ("reduce", 5, 1): "245bca3579006aad9dba848644f2e3957b67baec872ad788e099b8de5023f533",
+    ("reduce", 5, 2): "db22fd3e6ed2f76bf398f1fd6ac741082bfa4f13315f3bf7168418581e39ade0",
+    ("example71", 2, 1): "54c83d9ef7055db74ba4c83ba055d063137def84295b8227537492716f3c05d6",
+    ("example71", 3, 1): "529a9d89cee95fe281198009caac50854ea76810647261d122f19a7f17b6e363",
+    ("example71", 5, 1): "d57df4cf7f7968686b2089a4f34057ee48bf9429ca80a8438976369cdec86492",
+    ("saturate", 3, 1): "542699be47f3fd0547a65e61c2bbc8b7714055238b5fc0ba66777ea29262c4b3",
+}
+
+
+@pytest.mark.parametrize("cmd,p,f", list(WACH_DIGESTS), ids=["%s-%d-%d" % key for key in WACH_DIGESTS])
+def test_wach_stdout_digest(cmd, p, f, tmp_path, capsys):
+    import hashlib
+
+    from phigamma import cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": p, "f": f}))
+    argv = ["--config", str(path), "wach", cmd]
+    if cmd == "saturate":
+        write_split_lattice(tmp_path / "lattice.json")
+        argv.append(str(tmp_path / "lattice.json"))
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WACH_DIGESTS[cmd, p, f]
+
+
+@pytest.mark.parametrize(
+    "cmd,cfg",
+    [
+        ("reduce", {"p": 3, "f": 2, "modulus": [1, 1, 2]}),
+        ("example71", {"p": 3, "f": 1, "m": 2, "modulus": [1, 1, 2]}),
+        ("reduce", {"p": 5, "f": 2, "modulus": [4, 0, 2]}),
+    ],
+    ids=["reduce-3-2", "example71-3-1-m2", "reduce-5-2"],
+)
+def test_wach_accepts_non_monic_modulus(cmd, cfg):
+    """W/p^N reduces by the monic lift lead^-1 g; subtracting g itself never ended."""
+    r = run_cli(["wach", cmd], cfg, timeout=60)
+    assert r.returncode == 0, r.stderr
+    d = json.loads(r.stdout)
+    if cmd == "reduce":
+        assert d["all_match"] is True and len(d["results"]) == 3 * (cfg["p"] ** cfg["f"] - 1)
+    else:
+        assert d["exact"] is False and all(ok for _, ok in d["identities"])
 
 
 def test_precision_scale_flag():

@@ -179,8 +179,8 @@ def test_mul_rows_slot_widths(p, m, ka, kb, da, db, width):
         assert np.array_equal(field.mul_rows(full, full), int_mul_rows(field, full, full))
 
 
-def int_convolve_rows(a, b, p):
-    """Reference product in F_p[pi, x] in Python ints, exact for any p."""
+def int_convolve_rows(a, b, N):
+    """Reference product in Z/N[pi, x] in Python ints, exact for any N."""
     acc = [[0] * (a.shape[1] + b.shape[1] - 1) for _ in range(len(a) + len(b) - 1)]
     for i, ra in enumerate(a.tolist()):
         for j, rb in enumerate(b.tolist()):
@@ -188,11 +188,11 @@ def int_convolve_rows(a, b, p):
                 if x:
                     for t, y in enumerate(rb):
                         acc[i + j][s + t] += x * y
-    return np.array([[c % p for c in row] for row in acc], dtype=np.int64).reshape(len(acc), -1)
+    return np.array([[c % N for c in row] for row in acc], dtype=np.int64).reshape(len(acc), -1)
 
 
 @pytest.mark.parametrize(
-    "p,ka,kb,da,db",
+    "N,ka,kb,da,db",
     [
         (2, 5, 7, 1, 1),
         (5, 40, 33, 4, 3),
@@ -210,23 +210,29 @@ def int_convolve_rows(a, b, p):
         (2, 1, 30, 3, 1),
         (2**31 - 1, 5, 200, 1, 40),
         (2**31 - 1, 300, 5, 3, 1),
-        # all-(p-1) operands: the top coefficient 10 * 2 * 4^2 = 320 needs a second byte,
+        # all-(N-1) operands: the top coefficient 10 * 2 * 4^2 = 320 needs a second byte,
         # which a slot sized without min(da, db) (10 * 4^2 = 160) would not give
         (5, 10, 10, 2, 2),
+        # moduli p^n, as in W/p^n: the slot bound and byte weights use N, not p
+        (9, 3, 5, 2, 2),  # 3 * 2 * 8^2 = 384 needs a second byte, 3 * 8^2 = 192 does not
+        (27, 10, 12, 10, 10),  # 10 * 10 * 26^2 = 67600 needs a third byte, 6760 does not
+        (125, 40, 33, 4, 3),
+        (8, 60, 50, 1, 80),
+        (5**13, 120, 130, 3, 3),  # 9-byte slots, N > 2^30
     ],
 )
-def test_convolve_rows_matches_int_reference(p, ka, kb, da, db):
-    gen = np.random.default_rng(ka * kb + p)
-    a, b = gen.integers(0, p, (ka, da)), gen.integers(0, p, (kb, db))
-    a[0], b[0] = p - 1, p - 1  # the largest entries reach the top of the slot
+def test_convolve_rows_matches_int_reference(N, ka, kb, da, db):
+    gen = np.random.default_rng(ka * kb + N)
+    a, b = gen.integers(0, N, (ka, da)), gen.integers(0, N, (kb, db))
+    a[0], b[0] = N - 1, N - 1  # the largest entries reach the top of the slot
     b[:, 1::3] = 0  # zero x-slots between nonzero ones
-    got = convolve_rows(a, b, p)
+    got = convolve_rows(a, b, N)
     assert got.shape == (ka + kb - 1, da + db - 1)
-    assert np.array_equal(got, int_convolve_rows(a, b, p))
-    if p > 2**30:
-        assert ((min(ka, kb) * min(da, db) * (p - 1) ** 2).bit_length() + 7) // 8 == 9
-    # entries of any sign mean their residues mod p
-    assert np.array_equal(convolve_rows(a - p, b + 2 * p, p), got)
-    # all-(p-1) operands fill the slot up to its bound min(ka, kb) min(da, db) (p-1)^2
-    a[:], b[:] = p - 1, p - 1
-    assert np.array_equal(convolve_rows(a, b, p), int_convolve_rows(a, b, p))
+    assert np.array_equal(got, int_convolve_rows(a, b, N))
+    if N > 2**30:
+        assert ((min(ka, kb) * min(da, db) * (N - 1) ** 2).bit_length() + 7) // 8 == 9
+    # entries of any sign mean their residues mod N
+    assert np.array_equal(convolve_rows(a - N, b + 2 * N, N), got)
+    # all-(N-1) operands fill the slot up to its bound min(ka, kb) min(da, db) (N-1)^2
+    a[:], b[:] = N - 1, N - 1
+    assert np.array_equal(convolve_rows(a, b, N), int_convolve_rows(a, b, N))

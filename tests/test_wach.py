@@ -7,7 +7,6 @@ from phigamma import (
     INF,
     LaurentSeries,
     PadicContext,
-    PadicSeries,
     PrecisionError,
     big_lambda_gamma,
     build_wach_rank1,
@@ -37,7 +36,7 @@ def test_padic_ring_inverse(rng):
     pctx = pctx_for(3, 2)
     ring = pctx.ring
     for _ in range(50):
-        row = np.array([rng.randrange(ring.pN), rng.randrange(ring.pN)])
+        row = np.array([rng.randrange(ring.N), rng.randrange(ring.N)])
         if row[0] % 3 == 0 and row[1] % 3 == 0:
             continue
         inv = ring.unit_inv_scalar(row)
@@ -49,11 +48,24 @@ def test_lambda_gamma_unit():
     pctx = pctx_for(3, 1)
     g4 = pctx.ctx.gamma_from_chi(4)
     lam, cut = big_lambda_gamma(pctx, g4, 36)
-    assert lam.coeff(0)[0] == 1
-    assert (lam - PadicSeries.one(pctx.ring, 36)).val() >= 1
+    assert lam.coeff_rows(0, 1)[0, 0] == 1
+    assert (lam - LaurentSeries.one(pctx.ring, 36)).val() >= 1
     assert cut >= 1
     lam1, cut1 = big_lambda_gamma(pctx, pctx.ctx.gamma_from_chi(1), 36)
-    assert (lam1 - PadicSeries.one(pctx.ring, 36)).is_zero() and cut1 == 0
+    assert (lam1 - LaurentSeries.one(pctx.ring, 36)).is_zero() and cut1 == 0
+
+
+def test_explicit_order_zero_is_not_the_default():
+    """order 0 means O(pi^0), not the context's pi^M."""
+    pctx = pctx_for(3, 1)
+    q0 = pctx.q_series(0)
+    assert q0.is_zero() and q0.order == 0
+    assert pctx.q_series(1).order == 1 and pctx.q_series().order == pctx.M
+    lam1, cut1 = big_lambda_gamma(pctx, pctx.ctx.gamma_from_chi(1), 0)
+    assert lam1.is_zero() and lam1.order == 0 and cut1 == 0
+    with pytest.raises(ArithmeticError):  # w = gamma(pi)/pi is O(pi^0): nothing to invert
+        big_lambda_gamma(pctx, pctx.ctx.eta, 0)
+    assert big_lambda_gamma(pctx, pctx.ctx.eta)[0].order == pctx.M
 
 
 def test_wach_rank1_f1():
@@ -163,7 +175,7 @@ class DenseSubst:
     def matrix(self, a):
         if a not in self.mats:
             pctx = self.pctx
-            S, pN = pctx.M, pctx.ring.pN
+            S, pN = pctx.M, pctx.ring.N
             wrow = pctx.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
             wrow[0] = (wrow[0] - 1) % pN
             mat = np.zeros((S, S), dtype=np.int64)
@@ -179,11 +191,11 @@ class DenseSubst:
     def substitute(self, s, a):
         pctx = self.pctx
         if s.is_zero():
-            return PadicSeries.zero(pctx.ring, min(s.order, pctx.M))
+            return LaurentSeries.zero(pctx.ring, min(s.order, pctx.M))
         order = int(min(s.order, pctx.M))
         head = s.coeff_rows(0, min(order, s.floor + len(s.rows)))
-        out = self.matrix(a)[: head.shape[0], :order].T @ head % pctx.ring.pN
-        return PadicSeries(pctx.ring, 0, order, out)
+        out = self.matrix(a)[: head.shape[0], :order].T @ head % pctx.ring.N
+        return LaurentSeries(pctx.ring, 0, order, out)
 
     def phi(self, s, k=1):
         return self.substitute(s, self.pctx.p**k)
@@ -192,11 +204,11 @@ class DenseSubst:
 def reference_lambda(ref, gamma, order):
     pctx = ref.pctx
     if gamma.chi_int == 1:
-        return PadicSeries.one(pctx.ring, order), 0
-    w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
+        return LaurentSeries.one(pctx.ring, order), 0
+    w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(pctx.ring, order + 1)).shift(-1)
     w = w.truncate(order)
     ratio = (w * ref.phi(w).inv_unit(order)).truncate(order)
-    one = PadicSeries.one(pctx.ring, order)
+    one = LaurentSeries.one(pctx.ring, order)
     acc, factor, cut = one, ratio, 0
     while not (factor - one).is_zero():
         acc = (acc * factor).truncate(order)
@@ -219,14 +231,14 @@ def reference_lift(ref, c):
     for name, gamma in ctx.generators():
         lam, cut = reference_lambda(ref, gamma, order)
         cut_max = max(cut_max, cut)
-        g0 = PadicSeries.one(pctx.ring, order)
+        g0 = LaurentSeries.one(pctx.ring, order)
         lam_phi = lam
         for k in range(f):
             if c[k]:
                 g0 = (g0 * lam_phi.pow(c[k], order)).truncate(order)
             if k + 1 < f:
                 lam_phi = ref.phi(lam_phi)
-        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - PadicSeries.one(pctx.ring, order + 1)).shift(-1)
+        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(pctx.ring, order + 1)).shift(-1)
         ratio = (w * ref.phi(w.truncate(order)).inv_unit(order)).truncate(order)
         gs = [None] * f
         gs[0] = prev = g0
@@ -277,7 +289,7 @@ def test_sparse_compact_substitution_matches_dense(p, f, rng):
     with the dense np.convolve build; p^N = 343 at p = 7 needs uint16."""
     pctx = pctx_for(p, f)
     ref = DenseSubst(pctx)
-    pN, M = pctx.ring.pN, pctx.M
+    pN, M = pctx.ring.N, pctx.M
     assert pctx._subst_matrix(p).dtype == (np.uint16 if pN > 256 else np.uint8)
     for a in sorted({p, p**f, pctx.ctx.chi_eta, 1 + p}):
         assert np.array_equal(pctx._subst_matrix(a).T, ref.matrix(a)), a
@@ -285,7 +297,7 @@ def test_sparse_compact_substitution_matches_dense(p, f, rng):
             floor = rng.choice([0, 1, rng.randrange(M + 5)])
             order = rng.choice([INF, M, rng.randrange(1, 2 * M), floor + 3])
             rows = np.array([[rng.randrange(pN) for _ in range(pctx.m)] for _ in range(rng.randrange(1, M))])
-            s = PadicSeries(pctx.ring, floor, order, rows)
+            s = LaurentSeries(pctx.ring, floor, order, rows)
             assert_same_series(pctx.substitute(s, a), ref.substitute(s, a))
 
 
