@@ -149,8 +149,8 @@ class ResidueRing:
         ``convolve_rows`` product of their nonzero columns (up to the highest), reduced
         by the modulus."""
         N, m = self.N, self.m
-        a, b = np.asarray(a, dtype=np.int64) % N, np.asarray(b, dtype=np.int64) % N
-        da, db = _width(a), _width(b)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        da, db = _width(a), _width(b)  # of unreduced rows at worst wider: convolve_rows reduces mod N
         if not (da and db):
             return np.zeros((max(len(a) + len(b) - 1, 0), m), dtype=np.int64)
         prod = convolve_rows(a[:, :da], b[:, :db], N)

@@ -31,7 +31,7 @@ class PadicRing(ResidueRing):
         return (self.field.key, self.depth)
 
     def mul_scalar(self, a_row, b_row) -> np.ndarray:
-        return self.mul_rows(np.asarray(a_row).reshape(1, -1), np.asarray(b_row).reshape(1, -1))[0]
+        return self.mul_matrix(a_row) @ self.row(b_row) % self.N
 
     def pow_scalar(self, row, e: int) -> np.ndarray:
         out = self.row(1)
