@@ -166,10 +166,6 @@ class ResidueRing:
             shifted[j, j : j + m] = c  # c x^j before reduction
         return (shifted @ self._red % self.N).T
 
-    def scale_rows(self, rows: np.ndarray, c) -> np.ndarray:
-        """Each coefficient row times the scalar c."""
-        return rows @ self.mul_matrix(c).T % self.N
-
 
 @dataclass(frozen=True)
 class FieldSpec:

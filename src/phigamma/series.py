@@ -218,7 +218,7 @@ class LaurentSeries:
         """Times the scalar c (an int, a coefficient row, or a FieldElement over a Field)."""
         if self.is_zero():
             return self
-        return LaurentSeries(self.field, self.floor, self.order, self.field.scale_rows(self.rows, c))
+        return LaurentSeries(self.field, self.floor, self.order, self.rows @ self.field.mul_matrix(c).T % self.field.N)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
