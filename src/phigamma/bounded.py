@@ -109,7 +109,7 @@ def is_bounded_class(twisted: TwistedCocycle, strict_p2: bool = False) -> str:
         if not A.shape[1]:
             return "yes" if not target.any() else "no"
         mask = A.any(axis=1) | (target != 0)
-        sol, _ = sys_.G.solve(A[mask], target[mask])
+        sol = sys_.G.solve(A[mask], target[mask])
         return "yes" if sol is not None else "no"
     except PrecisionError:
         return "inconclusive"

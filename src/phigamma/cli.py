@@ -207,6 +207,8 @@ def _padic_series_from_json(ring, entry, order) -> LaurentSeries:
 def cmd_wach(args) -> int:
     cfg = load_config(args)
     ctx = build_context(cfg, args.precision_scale)
+    if args.wach_cmd == "reduce" and ctx.M <= ctx.p:  # the reduction compares on [0, M - p)
+        raise ConfigError("wach reduce needs pi_order > p, or it compares nothing (got %d)" % ctx.M)
     pctx = PadicContext(ctx)
     out = echo(ctx, cfg)
     if args.wach_cmd == "reduce":

@@ -62,15 +62,25 @@ class Cocycle:
         return self._mu_xi_cache
 
     def mu_at_eta_power(self, k: int) -> TateElement:
-        """mu_{eta^k} via mu_{gamma gamma'} = kappa_gamma gamma(mu_{gamma'}) + mu_gamma."""
-        ctx = self.ctx
+        """mu_{eta^k} by binary powering of the chain rule mu_{gamma gamma'} =
+        kappa_gamma gamma(mu_{gamma'}) + mu_gamma, low bit first: gamma runs through
+        eta^(2^j), squared with gamma = gamma' and added into the result with gamma' the
+        sum so far.  kappa_(gamma^2) comes from kappa_gamma by the cocycle rule, and only
+        when a later step reads it."""
+        ctx, module = self.ctx, self.module
         if k < 1:
             raise ValueError("need k >= 1")
-        mu = self.mu_eta()
-        kappa = self.module.kappa_gamma(ctx.eta)
-        for _ in range(k - 1):
-            mu = kappa * ctx.gamma_act(ctx.eta, mu) + self.mu_eta()
-        return mu
+        gamma, mu, kappa, out = ctx.eta, self.mu_eta(), module.kappa_gamma(ctx.eta), None
+        while True:
+            if k & 1:
+                out = mu if out is None else kappa * ctx.gamma_act(gamma, out) + mu
+            k >>= 1
+            if not k:
+                return out
+            mu = kappa * ctx.gamma_act(gamma, mu) + mu
+            if k > 1 or out is not None:
+                kappa = ctx.tate([ctx.lambda_pow_squared(gamma, s) for s in module.sigmas()])
+            gamma = gamma * gamma
 
     def generators(self):
         ctx = self.ctx
@@ -491,6 +501,13 @@ class ModuleBasis:
     def __len__(self):
         return len(self.elements)
 
+    def nbytes(self) -> int:
+        """Bytes of the arrays the basis holds: its cocycles' series (with a derived
+        mu_xi) and the cached residual columns."""
+        tates = [x for B in self.elements for x in (B.mu_phi, *B.mu_gen.values(), B._mu_xi_cache) if x is not None]
+        arrays = [s.rows for x in tates for s in x.comps] + [a for pair in self._residual_cache.values() for a in pair]
+        return sum({id(a): a.nbytes for a in arrays}.values())
+
     def ext_class(self, coords) -> ExtClass:
         return ExtClass(tuple(coords), self.labels)
 
@@ -503,17 +520,24 @@ class ModuleBasis:
 
 
 _BASIS_CACHE = {}  # most recently used last
-_BASIS_CACHE_SIZE = 32  # each basis holds O(f) series of the window order M
+_BASIS_CACHE_BYTES = 3 << 20  # array bytes kept over all cached bases; the newest always stays
 
 
 def basis_for(module: RankOneModule) -> ModuleBasis:
+    """The cached basis of the module.  The cache is counted when a basis is built,
+    never on a hit, and the least recently used bases go until it fits its bytes."""
     key = (module.ctx.key, module.C.index(), module.c)
     basis = _BASIS_CACHE.pop(key, None)
     if basis is None:
         basis = ModuleBasis(module)
+        sizes = [b.nbytes() for b in _BASIS_CACHE.values()]
+        total = basis.nbytes() + sum(sizes)
+        for old, size in zip(list(_BASIS_CACHE), sizes):
+            if total <= _BASIS_CACHE_BYTES:
+                break
+            del _BASIS_CACHE[old]
+            total -= size
     _BASIS_CACHE[key] = basis
-    while len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
-        del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
     return basis
 
 
@@ -693,7 +717,7 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
         A = _coboundary_system(module, fl, hi, [c])
         t = None
         if A.shape[1] > 1:  # a kernel line: fit its parameter t
-            sol, _ = gf(ctx.field).solve(A[:, 1:], A[:, 0])
+            sol = gf(ctx.field).solve(A[:, 1:], A[:, 0])
             if sol is None:
                 return CoboundaryResult("no", reason="residual outside the kernel line", checked_to=hi)
             t = ctx.field.from_index(int(sol[0]))
@@ -723,7 +747,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     target = target[:, 0]
     if target[~rows].any():  # a residual that no column reaches
         return None
-    sol, _null = gf(ctx.field).solve(A, target[rows])
+    sol = gf(ctx.field).solve(A, target[rows])
     if sol is None:
         return None
     return basis.ext_class(tuple(ctx.field.from_index(int(v)) for v in sol[: len(basis)]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, FieldElement
+from .field import Field
 
 TABLE_LIMIT = 4096
 _CACHE = {}
@@ -30,7 +30,6 @@ class GF:
         for i in range(m):
             digits[:, i] = v % p
             v = v // p
-        self._digits = digits
         pows = p ** np.arange(m)
         self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ pows).astype(np.int32)
         self.NEG = ((-digits) % p @ pows).astype(np.int32)
@@ -53,15 +52,6 @@ class GF:
         pows = self.p ** np.arange(self.m)
         batch = rows.shape[2:]
         return (pows @ rows.reshape(len(rows), self.m, int(np.prod(batch)))).reshape(rows.shape[:1] + batch)
-
-    def decode(self, idx: np.ndarray) -> np.ndarray:
-        return self._digits[np.asarray(idx, dtype=np.int64)]
-
-    def encode_elt(self, x: FieldElement) -> int:
-        return x.index()
-
-    def decode_elt(self, i: int) -> FieldElement:
-        return self.field.from_index(int(i))
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -109,9 +99,6 @@ class GF:
             r += 1
         return R[:r], pivots
 
-    def rank(self, mat) -> int:
-        return self.rref(mat)[0].shape[0]
-
     def nullspace(self, mat: np.ndarray) -> np.ndarray:
         """Basis of the right kernel, rows = basis vectors."""
         mat = np.asarray(mat, dtype=np.int64)
@@ -126,27 +113,16 @@ class GF:
         return basis
 
     def solve(self, A: np.ndarray, b: np.ndarray):
-        """One solution x of A x = b, or None; also returns the kernel basis."""
+        """One solution x of A x = b, or None; one elimination of [A | b]."""
         A = np.asarray(A, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-        aug = np.concatenate([A, b], axis=1)
-        R, pivots = self.rref(aug)
+        R, pivots = self.rref(np.concatenate([A, b], axis=1))
         nc = A.shape[1]
         if nc in pivots:
-            return None, self.nullspace(A)
+            return None
         x = np.zeros(nc, dtype=np.int64)
-        for r, pc in enumerate(pivots):
-            x[pc] = R[r, nc]
-        return x, self.nullspace(A)
-
-    def row_space_contains(self, R_pivots, vec) -> bool:
-        """Membership of vec in a row space given by (rref, pivots)."""
-        R, pivots = R_pivots
-        v = np.array(vec, dtype=np.int64)
-        for r, pc in enumerate(pivots):
-            if v[pc]:
-                v = self.sub(v, self.mul(np.full(v.shape, v[pc]), R[r]))
-        return not v.any()
+        x[pivots] = R[:, nc]
+        return x
 
     def span_equal(self, A, B) -> bool:
         A = np.asarray(A, dtype=np.int64).reshape(-1, A.shape[-1] if hasattr(A, "shape") else len(A[0]))

@@ -340,7 +340,21 @@ class Context:
             base = lam if e >= 0 else lam.inv_unit()
             return base.pow(abs(e), self.M)
 
-        return _cache((self.field.key, self.M, self.f, gamma.chi_int, e, "lampow"), build)
+        return _cache(self._lampow_key(gamma.chi_int, e), build)
+
+    def lambda_pow_squared(self, gamma: GammaElement, e: int) -> LaurentSeries:
+        """lambda_(gamma^2)^e by the cocycle rule lambda_(g h) = lambda_g g(lambda_h): one
+        product and one gamma action on lambda_gamma^e, not a new root.  Cached as
+        ``lambda_pow(gamma^2, e)``, which then returns it."""
+
+        def build():
+            lam = self.lambda_pow(gamma, e)
+            return lam * self.gamma_act_series(gamma, lam)
+
+        return _cache(self._lampow_key(gamma.chi_int**2, e), build)
+
+    def _lampow_key(self, chi_int: int, e: int):
+        return (self.field.key, self.M, self.f, chi_int, e, "lampow")
 
     def chibar(self, gamma: GammaElement) -> FieldElement:
         return self.field.coerce(gamma.chi_int)

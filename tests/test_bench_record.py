@@ -1,0 +1,58 @@
+"""tools/bench_record.py summarises perfbench result files of a parent commit and
+a change: per workload and side the median and every run of each end-to-end
+metric, the rounds of each run, failed/attempted over all runs, and the count of
+units whose output digests differ between the sides."""
+import importlib.util
+import json
+from pathlib import Path
+
+BENCH_RECORD = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", BENCH_RECORD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(sha, throughput, rss, rounds, failed, attempted, digests):
+    """One synthetic ``perfbench/run.py`` result file's content."""
+    return {
+        "meta": {"workload": "ext_f3", "git_sha": sha, "src_lines": 3900},
+        "metrics": {"throughput": {"value": throughput, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
+        "rounds": rounds,
+        "failed": failed,
+        "attempted": attempted,
+        "digests": digests,
+    }
+
+
+def write(tmp_path, name, data) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_bench_record_summarises_both_sides(tmp_path, capsys):
+    tool = load_bench_record()
+    parent = [
+        write(tmp_path, "p1.json", result("aaa", 10.0, 60.0, 8, 0, 100, [[0, "u0", "h0"], [0, "u1", "h1"]])),
+        write(tmp_path, "p2.json", result("aaa", 14.0, 62.0, 9, 1, 110, [[0, "u0", "h0"], [1, "u0", "h2"]])),
+    ]
+    change = [
+        write(tmp_path, "c1.json", result("bbb", 15.0, 57.0, 10, 0, 120, [[0, "u0", "h0"], [0, "u1", "DIFF"]])),
+        write(tmp_path, "c2.json", result("bbb", 17.0, 58.0, 11, 0, 130, [[1, "u0", "h2"], [2, "u0", "h3"]])),
+    ]
+    assert tool.main(["--parent", *parent, "--change", *change, "--parent-sha", "PARENT"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["ext_f3"]
+    par, chg = record["ext_f3"]["parent"], record["ext_f3"]["change"]
+    assert par["metrics"]["throughput"] == {"unit": "1/s", "median": 12.0, "runs": [10.0, 14.0]}
+    assert chg["metrics"]["peak_rss_mb"] == {"unit": "MB", "median": 57.5, "runs": [57.0, 58.0]}
+    assert (par["rounds"], chg["rounds"]) == ([8, 9], [10, 11])
+    assert (par["failed"], par["attempted"], chg["failed"], chg["attempted"]) == (1, 210, 0, 250)
+    assert (par["runs"], par["src_lines"]) == (2, [3900])
+    assert (par["sha"], chg["sha"]) == ("PARENT", "bbb")  # an explicit SHA, else the recorded one
+    # units on both sides: (0, u0), (0, u1) and (1, u0); only (0, u1) differs
+    assert record["ext_f3"]["digests"] == {"units_compared": 3, "mismatches": 1}

@@ -81,6 +81,9 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, precision={"padic_depth": 0}), "wach reduce"),
         (dict(GOOD, precision={"padic_depth": -1}), "wach reduce"),
         (dict(GOOD, precision={"padic_depth": 0}), "wach example71"),
+        # the reduction compares on [0, pi_order - p), which is empty for pi_order <= p
+        (dict(GOOD, precision={"pi_order": 1}), "wach reduce"),
+        (dict(GOOD, precision={"pi_order": 3}), "wach reduce"),
         # a number with a fractional part is refused, not truncated
         (dict(GOOD, p=5, chi_eta=2.5), "classify"),
         (dict(GOOD, precision={"padic_depth": 1.5}), "wach reduce"),
@@ -105,6 +108,8 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "padic_depth=0-reduce",
         "padic_depth=-1-reduce",
         "padic_depth=0-example71",
+        "wach-reduce-pi_order<=p",
+        "wach-reduce-pi_order=p",
         "chi_eta=2.5",
         "padic_depth=1.5",
         "pi_order=100.5",

@@ -379,7 +379,7 @@ def _two_call_span(c, basis):
     A = _coboundary_system(M, *key, basis.elements)
     rows = A.any(axis=1)
     target = _coboundary_system(M, *key, [c], kernel=False)[:, 0]
-    sol = None if target[~rows].any() else gf(M.ctx.field).solve(A[rows], target[rows])[0]
+    sol = None if target[~rows].any() else gf(M.ctx.field).solve(A[rows], target[rows])
     coords = None if sol is None else tuple(M.ctx.field.from_index(int(v)) for v in sol[: len(basis)])
     return key, (rows, A[rows]), coords
 
@@ -406,3 +406,88 @@ def test_cold_first_span_matches_two_call_reference(p, f, C, c):
         assert np.array_equal(cached_rows, rows) and np.array_equal(cached_A, A)
         assert (want is None) == (B is partial)
         assert (cold and cold.coords) == (warm and warm.coords) == want
+
+
+# -- mu at powers of eta by binary powering of the chain rule --------------------------
+
+
+def ref_mu_at_eta_power(c, k):
+    """mu_{eta^k} by k - 1 steps of the chain rule mu_{eta eta^j} = kappa_eta eta(mu_{eta^j}) + mu_eta."""
+    ctx = c.ctx
+    mu = c.mu_eta()
+    kappa = c.module.kappa_gamma(ctx.eta)
+    for _ in range(k - 1):
+        mu = kappa * ctx.gamma_act(ctx.eta, mu) + c.mu_eta()
+    return mu
+
+
+def _power_cases(p, f):
+    """Fresh copies (mu_xi not yet derived) of the basis elements of the trivial module
+    (B_nr has mu_eta = 0), the cyclotomic module (B_tr has poles) and a generic module,
+    plus one random cocycle of each."""
+    ctx = ctx_for(p, f)
+    rng = random.Random(10 * p + f)
+    one = ctx.field.one()
+    generic = tuple(rng.randrange(p - 1) for _ in range(f))
+    for C, c in [(one, (0,) * f), (one, (p - 2,) * f), (ctx.field.generator(), generic)]:
+        M = RankOneModule(ctx, C, c)
+        for x in [*basis_for(M).elements, random_cocycle(M, rng)]:
+            yield Cocycle(M, x.mu_phi, x.mu_gen, x.label)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_mu_at_eta_power_matches_step_loop(p, f):
+    """Floor, order and rows for k = 1 .. 2p: at p = 7 the combine step runs (k = 6 = 4 + 2);
+    k = p - 1 at p = 3, 5 only squares."""
+    labels = set()
+    for c in _power_cases(p, f):
+        labels.add(c.label)
+        for k in range(1, 2 * p + 1):
+            assert _same_tate(c.mu_at_eta_power(k), ref_mu_at_eta_power(c, k)), (c.label, k)
+    assert {"B_nr", "B_tr"} <= labels
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 1), (7, 1)])
+def test_verify_cocycle_reports_match_step_loop(monkeypatch, p, f):
+    cases = list(_power_cases(p, f))
+    got = [verify_cocycle(Cocycle(c.module, c.mu_phi, c.mu_gen, c.label), words=20, rng=random.Random(n)) for n, c in enumerate(cases)]
+    monkeypatch.setattr(Cocycle, "mu_at_eta_power", ref_mu_at_eta_power)
+    want = [verify_cocycle(c, words=20, rng=random.Random(n)) for n, c in enumerate(cases)]
+    assert got == want
+    assert all(rep.ok for rep in got)
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
+def test_lambda_pow_squared_is_the_root_power(p, f):
+    """The cocycle rule's lambda_(eta^(2a))^sigma equals the power of the root built
+    for eta^(2a), for every sigma in [0, p^f - 1), and lambda_pow then returns that one
+    cached value.  The window is one no other test caches lambda powers at."""
+    ctx = ctx_for(p, f, pi_order=3 * p ** (f + 1))
+    gamma = ctx.eta
+    for _ in range(2):  # eta -> eta^2 -> eta^4
+        for s in range(p**f - 1):
+            lam = ctx.lambda_pow_squared(gamma, s)
+            assert lam == ctx.lambda_gamma(gamma * gamma).pow(s, ctx.M), s
+            assert ctx.lambda_pow(gamma * gamma, s) is lam
+        gamma = gamma * gamma
+
+
+def test_basis_cache_is_bounded_by_bytes(monkeypatch):
+    """Building a basis drops the least recently used ones until the cache fits its
+    byte bound; the newest stays even when it alone is larger; a hit moves a basis
+    to the back."""
+    ctx = ctx_for(5, 1)
+    a, b, c = [RankOneModule(ctx, 2, (n,)) for n in range(3)]
+    size = {M.c: ModuleBasis(M).nbytes() for M in (a, b, c)}
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE", {})
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE_BYTES", 0)
+    basis_for(a)
+    Bb = basis_for(b)
+    assert list(cocycle_mod._BASIS_CACHE.values()) == [Bb]
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE_BYTES", 1 << 30)
+    Ba = basis_for(a)
+    assert basis_for(b) is Bb  # a hit: the order is now a, b
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE_BYTES", size[b.c] + size[c.c])
+    Bc = basis_for(c)
+    assert list(cocycle_mod._BASIS_CACHE.values()) == [Bb, Bc]
+    assert sum(B.nbytes() for B in (Ba, Bb, Bc)) > cocycle_mod._BASIS_CACHE_BYTES

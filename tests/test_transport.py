@@ -288,7 +288,7 @@ def ref_is_coboundary(c, floor=None):
         if data[1] is None:
             return "no" if ref_residual_matrix(module, layout, [data]).any() else "yes"
         A = ref_residual_matrix(module, layout, [data, ref_residual_data(module, layout, c, t_probe=True)])
-        sol, _ = G.solve(A[:, 1:], G.NEG[A[:, 0]].astype(np.int64))
+        sol = G.solve(A[:, 1:], G.NEG[A[:, 0]].astype(np.int64))
         return "no" if sol is None else "yes"
     except PrecisionError:
         return "inconclusive"
@@ -302,7 +302,7 @@ def ref_span_decompose(c, elements):
     if datas[0][1] is not None:  # the module has a kernel line
         datas.append(ref_residual_data(module, layout, elements[0], t_probe=True))
     A = ref_residual_matrix(module, layout, datas + [ref_residual_data(module, layout, c)])
-    sol, _ = gf(F).solve(A[:, :-1], A[:, -1])
+    sol = gf(F).solve(A[:, :-1], A[:, -1])
     return None if sol is None else tuple(F.from_index(int(v)) for v in sol[: len(elements)])
 
 
