@@ -4,7 +4,8 @@ Configuration is a single JSON document (stdin or --config path); all defaults
 are echoed into the output for reproducibility.  Exit codes: 0 success,
 2 config error, 3 window-inconclusive, 4 precision exhaustion, 5 a lemma
 failed in ``verify``, 6 an arithmetic check failed (a non-bijective operator,
-a failed Wach commutation, an elimination pivot); errors go to stderr as JSON.
+a failed Wach commutation, an elimination pivot, any ValueError past the config
+stage); errors go to stderr as JSON.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .field import Field, FieldError, FieldSpec, default_modulus, make_field
+from .field import FieldSpec, default_modulus, make_field
 from .series import LaurentSeries, PrecisionError
 from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
@@ -53,33 +54,39 @@ def load_config(args) -> dict:
 
 
 def _integral(value, name: str):
-    """An optional integer of the config; a number with a fractional part is refused, not truncated."""
-    if value is None:
-        return None
-    if isinstance(value, float) and not value.is_integer():
+    """An integer of the config; a bool or a number with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ConfigError("'%s' must be an integer, not %r" % (name, value))
-    return int(value)
+    try:
+        return int(value)
+    except (ValueError, TypeError):
+        raise ConfigError("'%s' must be an integer, not %r" % (name, value))
+
+
+def _optional(src: dict, key: str, default=None):
+    value = src.get(key, default)
+    return None if value is None else _integral(value, key)
 
 
 def build_context(cfg: dict, scale: int = 1):
-    try:
-        p = int(cfg["p"])
-        f = int(cfg["f"])
-    except (KeyError, ValueError, TypeError):
+    if not isinstance(cfg, dict) or "p" not in cfg or "f" not in cfg:
         raise ConfigError("config needs integer fields 'p' and 'f'")
+    p, f = _integral(cfg["p"], "p"), _integral(cfg["f"], "f")
+    m = _integral(cfg.get("m", f), "m")
+    if not (1 <= f <= m and m % f == 0):  # before default_modulus, which would search for a degree-m polynomial
+        raise ConfigError("need 1 <= f <= m with f | m (got f=%d, m=%d)" % (f, m))
     prec = cfg.get("precision", {})
     if not isinstance(prec, dict):
         raise ConfigError("'precision' must be an object")
     try:
-        m = int(cfg.get("m", f))
         modulus = tuple(cfg["modulus"]) if "modulus" in cfg else default_modulus(p, m)
         field = make_field(FieldSpec(p, f, m, modulus))
         ctx = Context(
             field,
-            pi_order=_integral(prec.get("pi_order"), "pi_order"),
-            tail_floor=_integral(prec.get("tail_floor"), "tail_floor"),
-            chi_eta=_integral(cfg.get("chi_eta"), "chi_eta"),
-            padic_depth=_integral(prec.get("padic_depth", 3), "padic_depth"),
+            pi_order=_optional(prec, "pi_order"),
+            tail_floor=_optional(prec, "tail_floor"),
+            chi_eta=_optional(cfg, "chi_eta"),
+            padic_depth=_optional(prec, "padic_depth", 3),
         )
         if scale != 1:
             ctx = ctx.scaled(scale)
@@ -91,8 +98,8 @@ def build_context(cfg: dict, scale: int = 1):
 def parse_module(ctx: Context, cfg: dict) -> RankOneModule:
     try:
         Celt = ctx.field.element(cfg.get("C", 1))
-        c = [int(x) for x in cfg["c"]] if "c" in cfg else None
-    except (ValueError, TypeError) as exc:
+        c = [_integral(x, "c") for x in cfg["c"]] if "c" in cfg else None
+    except (ValueError, TypeError) as exc:  # a ConfigError is a ValueError
         raise ConfigError("'C' must be a field element and 'c' a list of integers: %s" % exc)
     if not Celt:
         raise ConfigError("C must be nonzero")
@@ -209,7 +216,10 @@ def cmd_wach(args) -> int:
     ctx = build_context(cfg, args.precision_scale)
     if args.wach_cmd == "reduce" and ctx.M <= ctx.p:  # the reduction compares on [0, M - p)
         raise ConfigError("wach reduce needs pi_order > p, or it compares nothing (got %d)" % ctx.M)
-    pctx = PadicContext(ctx)
+    try:
+        pctx = PadicContext(ctx)
+    except ValueError as exc:  # a p-adic depth past the int64 kernels
+        raise ConfigError(str(exc))
     out = echo(ctx, cfg)
     if args.wach_cmd == "reduce":
         grid = []
@@ -358,7 +368,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(json.dumps({"error": "precision exhausted: %s" % exc, "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return EXIT_PRECISION
-    except (ArithmeticError, PivotError, FieldError) as exc:  # a FieldError past the config stage
+    except (ArithmeticError, PivotError, ValueError) as exc:  # a ValueError (FieldError too) past the config stage
         print(json.dumps({"error": "%s: %s" % (type(exc).__name__, exc), "schema_version": SCHEMA_VERSION}), file=sys.stderr)
         return EXIT_ARITHMETIC
 

@@ -65,8 +65,7 @@ class Cocycle:
         """mu_{eta^k} by binary powering of the chain rule mu_{gamma gamma'} =
         kappa_gamma gamma(mu_{gamma'}) + mu_gamma, low bit first: gamma runs through
         eta^(2^j), squared with gamma = gamma' and added into the result with gamma' the
-        sum so far.  kappa_(gamma^2) comes from kappa_gamma by the cocycle rule, and only
-        when a later step reads it."""
+        sum so far.  kappa_(gamma^2) is built only when a later step reads it."""
         ctx, module = self.ctx, self.module
         if k < 1:
             raise ValueError("need k >= 1")
@@ -79,7 +78,7 @@ class Cocycle:
                 return out
             mu = kappa * ctx.gamma_act(gamma, mu) + mu
             if k > 1 or out is not None:
-                kappa = ctx.tate([ctx.lambda_pow_squared(gamma, s) for s in module.sigmas()])
+                kappa = module.kappa_gamma(gamma * gamma)
             gamma = gamma * gamma
 
     def generators(self):

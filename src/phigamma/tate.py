@@ -6,9 +6,13 @@ componentwise.  Substitution is one path: a pole is cleared by K = a p^k, 1 <= a
 gamma(s) = gamma(pi)^(-K) gamma(pi^K s), where gamma(pi)^(-K) has the F_p coefficients
 of gamma(pi)^(-a) spread p^k apart; the power series pi^K s goes to the basis y = 1 + pi
 by a digit-wise Pascal (Lucas) transform, gamma permutes y^k -> y^(chi k mod p^N), and
-the inverse transform comes back, both on the rows below order + K only.  The caches
-(the heads of gamma(pi)^(-a), lambda_gamma and its powers) are at most O(M) series
-keyed globally, so contexts with equal parameters share them.
+the inverse transform comes back, both on the rows below order + K only.
+lambda_gamma, the (p^f-1)/(p-1)-th root of u = gamma(pi)/(chibar pi), and its powers
+are Frobenius products, as x(pi)^(p^j) = x(pi^(p^j)) for F_p coefficients: lambda is
+prod_k w(pi^(p^(fk))) with w = u / u(pi^p), and lambda^sigma is prod_j (lambda^(d_j))(pi^(p^j))
+over the base-p digits d_j of |sigma|; no root is taken.  The caches (the heads of
+gamma(pi)^(-a), lambda_gamma and its powers) are at most O(M) series keyed globally,
+so contexts with equal parameters share them.
 The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
 ``phi_transport``, for a batch of right-hand sides at once.
 """
@@ -19,7 +23,7 @@ import functools
 import numpy as np
 
 from .field import Field, FieldElement, convolve_rows
-from .series import INF, LaurentSeries, PadicInteger, PrecisionError, nth_root_unit, one_plus_pi_pow, pascal_size, pascal_transform
+from .series import INF, LaurentSeries, PadicInteger, PrecisionError, one_plus_pi_pow, pascal_size, pascal_transform
 
 
 class NonBijectiveError(ArithmeticError):
@@ -164,6 +168,19 @@ def _cache(key, build):
     if key not in _REGISTRY:
         _REGISTRY[key] = build()
     return _REGISTRY[key]
+
+
+def _frobenius_product(base: LaurentSeries, q: int, digits, order: int) -> LaurentSeries:
+    """prod_j base(pi^(q^j))^(digits[j]) below ``order``, by Horner from the top digit
+    down: x -> x(pi^q) base^(digits[j]), so digit j reads base below ceil(order / q^j)."""
+    x = LaurentSeries.one(base.field)
+    for j in reversed(range(len(digits))):
+        n = -(-order // q**j)
+        x = x.substitute_power(q, n)
+        b = base.truncate(n)
+        for _ in range(digits[j]):
+            x = x * b
+    return x
 
 
 class Context:
@@ -322,39 +339,40 @@ class Context:
 
     # -- lambda units ----------------------------------------------------------------
     def lambda_gamma(self, gamma: GammaElement) -> LaurentSeries:
-        """The unique (p^f-1)/(p-1)-th root of gamma(pi)/(chibar(gamma) pi) in 1 + pi F_p[[pi]]."""
+        """The unique (p^f-1)/(p-1)-th root lambda of u = gamma(pi)/(chibar(gamma) pi) in
+        1 + pi F_p[[pi]], in closed form.  u has F_p coefficients, so u(pi^p) = u^p and
+        w = u / u(pi^p) = u^(1-p); with q = p^f, lambda = prod_(k >= 0) w(pi^(q^k)) =
+        u^((1-p) / (1-q)), and w(pi^(q^k)) = 1 below pi^M once q^k >= M."""
 
         def build():
-            if gamma.chi_int == 1:
-                return self.one_series(self.M)
-            chibar = self.field.coerce(gamma.chi_int)
-            w = one_plus_pi_pow(self.field, gamma.chi_int, self.M + 1) - 1  # gamma(pi)
-            u = w.shift(-1).scale(chibar.inv())
-            return nth_root_unit(u, self.d_root, self.M)
+            p, M = self.p, self.M
+            u = (one_plus_pi_pow(self.field, gamma.chi_int, M + 1) - 1).shift(-1).scale(self.chibar(gamma).inv())
+            w = u * u.truncate(-(-M // p)).inv_unit().substitute_power(p, M)  # u^-1 read below pi^(M/p)
+            q, terms = p**self.f, 1
+            while q**terms < M:
+                terms += 1
+            return _frobenius_product(w, q, [1] * terms, M)
 
         return _cache((self.field.key, self.M, self.f, gamma.chi_int, "lambda"), build)
 
     def lambda_pow(self, gamma: GammaElement, e: int) -> LaurentSeries:
+        """lambda_gamma^e = prod_j (lambda^(d_j))(pi^(p^j)) over the base-p digits d_j
+        of |e| (lambda has F_p coefficients), with lambda^-1 for e < 0, itself cached
+        as the power -1."""
+
         def build():
             lam = self.lambda_gamma(gamma)
-            base = lam if e >= 0 else lam.inv_unit()
-            return base.pow(abs(e), self.M)
+            if e == -1:
+                return lam.inv_unit()
+            if e < 0:
+                lam = self.lambda_pow(gamma, -1)
+            digits, n = [], abs(e)
+            while n or not digits:
+                digits.append(n % self.p)
+                n //= self.p
+            return _frobenius_product(lam, self.p, digits, self.M)
 
-        return _cache(self._lampow_key(gamma.chi_int, e), build)
-
-    def lambda_pow_squared(self, gamma: GammaElement, e: int) -> LaurentSeries:
-        """lambda_(gamma^2)^e by the cocycle rule lambda_(g h) = lambda_g g(lambda_h): one
-        product and one gamma action on lambda_gamma^e, not a new root.  Cached as
-        ``lambda_pow(gamma^2, e)``, which then returns it."""
-
-        def build():
-            lam = self.lambda_pow(gamma, e)
-            return lam * self.gamma_act_series(gamma, lam)
-
-        return _cache(self._lampow_key(gamma.chi_int**2, e), build)
-
-    def _lampow_key(self, chi_int: int, e: int):
-        return (self.field.key, self.M, self.f, chi_int, e, "lampow")
+        return _cache((self.field.key, self.M, self.f, gamma.chi_int, e, "lampow"), build)
 
     def chibar(self, gamma: GammaElement) -> FieldElement:
         return self.field.coerce(gamma.chi_int)

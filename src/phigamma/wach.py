@@ -73,6 +73,15 @@ class PadicContext:
         self.ring = PadicRing(ctx.field, ctx.padic_depth if depth is None else depth)
         self.M = int(ctx.M if pi_order is None else pi_order)
         self.p, self.f, self.m = ctx.p, ctx.f, ctx.m
+        # int64 kernels sum up to `terms` products of two residues < p^N: ``substitute`` and
+        # ``_subst_matrix`` over the M rows of a column, the reduction of ``mul_rows`` and
+        # ``mul_matrix`` over the 2m - 1 rows of the reduction table
+        terms = max(self.M, 2 * self.m - 1)
+        if terms * (self.ring.N - 1) ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(
+                "p-adic depth %d overflows int64 at p = %d, pi_order %d: need %d (p^depth - 1)^2 < 2^63"
+                % (self.ring.depth, self.p, self.M, terms)
+            )
         self._subst = {}  # a -> _subst_matrix(a)
         self._units = {}  # chi(gamma) -> GammaUnits
 

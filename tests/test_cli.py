@@ -89,6 +89,19 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, precision={"padic_depth": 1.5}), "wach reduce"),
         (dict(GOOD, precision={"pi_order": 100.5}), "classify"),
         (dict(GOOD, precision={"tail_floor": -10.5}), "classify"),
+        # p, f, m and the digits c are integers too, and f >= 1 is checked before a modulus is sought
+        (dict(GOOD, p=3.5), "classify"),
+        (dict(GOOD, f=1.9), "classify"),
+        (dict(GOOD, m=1.5), "classify"),
+        (dict(GOOD, f=True), "classify"),
+        (dict(GOOD, c=[1.7]), "classify"),
+        (dict(GOOD, c=[True]), "vj-table"),
+        (dict(GOOD, f=-1), "classify"),
+        (dict(GOOD, f=2, m=3, c=[1, 1]), "classify"),
+        # the int64 kernels of the Wach side need max(M, 2m - 1) (p^depth - 1)^2 < 2^63
+        ({"p": 3, "f": 1, "precision": {"padic_depth": 20}}, "wach reduce"),
+        ({"p": 3, "f": 1, "precision": {"padic_depth": 19}}, "wach reduce"),
+        ({"p": 5, "f": 1, "precision": {"padic_depth": 14}}, "wach example71"),
     ],
     ids=[
         "pi_order<0",
@@ -114,6 +127,17 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "padic_depth=1.5",
         "pi_order=100.5",
         "tail_floor=-10.5",
+        "p=3.5",
+        "f=1.9",
+        "m=1.5",
+        "f=true",
+        "c=1.7",
+        "c=true",
+        "f=-1",
+        "m-not-multiple-of-f",
+        "padic_depth=20-at-3-1",
+        "padic_depth=19-at-3-1",
+        "padic_depth=14-at-5-1",
     ],
 )
 def test_malformed_config_exits_2_with_json_error(cfg, cmd):
@@ -143,8 +167,9 @@ def test_verify_exits_5_when_a_lemma_fails(tmp_path, monkeypatch, capsys):
         ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "PivotError", 6),
         ("basis_for", ["vj-table"], {"p": 3, "f": 1, "C": 2, "c": [1]}, "NonBijectiveError", 6),
         ("sweep", ["verify"], {"p": 3, "f": 1}, "FieldError", 6),
+        ("build_wach_rank1", ["wach", "reduce"], {"p": 2, "f": 1}, ValueError("Ctilde must be a unit"), 6),
     ],
-    ids=["commutation", "g0", "zero-division", "precision-stays-4", "pivot", "non-bijective", "field-error"],
+    ids=["commutation", "g0", "zero-division", "precision-stays-4", "pivot", "non-bijective", "field-error", "value-error"],
 )
 def test_arithmetic_failure_exits_with_json_error(target, argv, cfg, exc, code, tmp_path, monkeypatch, capsys):
     from phigamma import cli
@@ -223,6 +248,17 @@ def test_wach_reduce_small():
     assert d["all_match"] is True
 
 
+@pytest.mark.parametrize("p,depth", [(3, 18), (5, 12)])
+def test_wach_reduce_at_the_deepest_int64_depth(p, depth, tmp_path, capsys):
+    """The deepest p-adic depth the int64 bound admits at the default window still reduces."""
+    from phigamma import cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": p, "f": 1, "precision": {"padic_depth": depth}}))
+    assert cli.main(["--config", str(path), "wach", "reduce"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_match"] is True
+
+
 def write_split_lattice(path):
     """The split lattice N(T_1) + N(T_2) at p = 3, f = 1, weights b = (2,), a = (0,), as a
     lattice file for ``wach saturate``."""
@@ -288,6 +324,31 @@ def test_wach_stdout_digest(cmd, p, f, tmp_path, capsys):
         argv.append(str(tmp_path / "lattice.json"))
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == WACH_DIGESTS[cmd, p, f]
+
+
+# sha256 of the stdout of V_J tables, verify sweeps and classify, recorded before lambda_gamma
+# and its powers were built by Frobenius products instead of a Newton root and binary powering
+CLI_DIGESTS = {
+    ("vj-table", 2, 2): ({"C": 1, "c": [0, 1]}, "2ccd3a6a3fad36c190029eb0467b8aa3a3bb3071be49ae43341b46797b16160d"),
+    ("vj-table", 3, 2): ({"C": 2, "c": [1, 0]}, "f27483fccf55f452f5987f3d20f0710669b1ce6ee1d1389d9205c16ffb3cc44f"),
+    ("vj-table", 5, 2): ({"C": 2, "c": [3, 4]}, "87701e878cc997a718de60441d046924eae5f8f24cbe9b6b56f6a37c4f183ab9"),
+    ("verify", 2, 1): ({}, "7fb1ee13c741a09c24470165a571f290f6ab5ca4ae568de5cffcc172c60d65fb"),
+    ("verify", 3, 2): ({}, "cb454400e4ea08a51f3fce8470106dff498f9d4fcbb6f186e291817263556de7"),
+    ("classify", 5, 3): ({"C": 2, "c": [1, 2, 3]}, "f3c764aab6061e8a6dabce8cfb406ced1e17e1b66d8e5cbb02d81396b0359491"),
+}
+
+
+@pytest.mark.parametrize("cmd,p,f", list(CLI_DIGESTS), ids=["%s-%d-%d" % key for key in CLI_DIGESTS])
+def test_cli_stdout_digest(cmd, p, f, tmp_path, capsys):
+    import hashlib
+
+    from phigamma import cli
+
+    extra, digest = CLI_DIGESTS[cmd, p, f]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict({"p": p, "f": f}, **extra)))
+    assert cli.main(["--config", str(path), cmd]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -458,17 +458,16 @@ def test_verify_cocycle_reports_match_step_loop(monkeypatch, p, f):
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
-def test_lambda_pow_squared_is_the_root_power(p, f):
-    """The cocycle rule's lambda_(eta^(2a))^sigma equals the power of the root built
-    for eta^(2a), for every sigma in [0, p^f - 1), and lambda_pow then returns that one
-    cached value.  The window is one no other test caches lambda powers at."""
+def test_lambda_pow_obeys_cocycle_rule_at_eta_powers(p, f):
+    """The closed-form lambda at gamma^2, gamma = eta^(2^j), is lambda_gamma gamma(lambda_gamma),
+    and so is each power: lambda_(gamma^2)^sigma = lambda_gamma^sigma gamma(lambda_gamma^sigma)
+    for every sigma in [0, p^f - 1); mu_at_eta_power reads its kappa at these gamma^2."""
     ctx = ctx_for(p, f, pi_order=3 * p ** (f + 1))
     gamma = ctx.eta
-    for _ in range(2):  # eta -> eta^2 -> eta^4
+    for _ in range(3):  # eta -> eta^2 -> eta^4 -> eta^8
         for s in range(p**f - 1):
-            lam = ctx.lambda_pow_squared(gamma, s)
-            assert lam == ctx.lambda_gamma(gamma * gamma).pow(s, ctx.M), s
-            assert ctx.lambda_pow(gamma * gamma, s) is lam
+            lam = ctx.lambda_pow(gamma, s)
+            assert ctx.lambda_pow(gamma * gamma, s) == lam * ctx.gamma_act_series(gamma, lam), s
         gamma = gamma * gamma
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phigamma import Context, LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
-from phigamma.series import INF, one_plus_pi_pow
+from phigamma.series import INF, nth_root_unit, one_plus_pi_pow
 from phigamma.tate import _POLE_STEPS
 
 from conftest import ctx_for, ref_op_lambda_gamma
@@ -103,6 +103,44 @@ def test_p2_lambda(ctx21, ctx22):
     lam1 = ctx21.lambda_gamma(ctx21.eta)
     d1 = lam1 - (ctx21.one_series() + ctx21.pi(1))
     assert d1.is_zero() or d1.val() >= 2
+
+
+def _root_lambda(ctx, gamma):
+    """lambda_gamma by the Newton root of u = gamma(pi)/(chibar pi): the oracle of the closed form."""
+    u = (one_plus_pi_pow(ctx.field, gamma.chi_int, ctx.M + 1) - 1).shift(-1).scale(ctx.chibar(gamma).inv())
+    return nth_root_unit(u, ctx.d_root, ctx.M)
+
+
+LAMBDA_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,f,m,kw",
+    [(p, f, f, {}) for p, f in LAMBDA_GRID]
+    + [(2, 2, 2, {"chi_eta": 3}), (3, 2, 2, {"chi_eta": 5}), (5, 2, 2, {"chi_eta": 3}), (7, 1, 1, {"chi_eta": 5})]
+    + [(2, 1, 2, {}), (2, 2, 4, {}), (3, 1, 2, {}), (3, 2, 4, {}), (5, 1, 2, {})]
+    + [(p, f, f, {"pi_order": M}) for p, f in [(2, 2), (3, 2), (5, 2)] for M in (1, 2, p**f - 1, p**f, p**f + 1)],
+)
+def test_lambda_closed_form_matches_root(p, f, m, kw):
+    """The Frobenius product equals the Newton root on the full window [0, M), in floor,
+    order and rows: for eta, xi, their squares and a few other units, chi = 1 included."""
+    ctx = ctx_for(p, f, m, **kw)
+    gammas = [ctx.eta, ctx.xi, ctx.eta * ctx.eta, ctx.xi * ctx.xi] + [ctx.gamma_from_chi(a) for a in (1, 1 + p, 2 * p - 1)]
+    for gamma in gammas:
+        lam = ctx.lambda_gamma(gamma)
+        assert lam.order == ctx.M
+        assert lam == _root_lambda(ctx, gamma), gamma
+
+
+@pytest.mark.parametrize("p,f,m", [(2, 1, 1), (2, 2, 2), (2, 3, 3), (3, 1, 1), (3, 2, 2), (3, 2, 4), (5, 1, 1), (5, 2, 2), (7, 1, 1)])
+def test_lambda_pow_digits_match_binary_power(p, f, m):
+    """lambda^sigma by base-p digits equals LaurentSeries.pow for sigma in [-q, 2q], q = p^f."""
+    ctx = ctx_for(p, f, m)
+    q = p**f
+    for gamma in (ctx.eta, ctx.xi):
+        lam = ctx.lambda_gamma(gamma)
+        for s in range(-q, 2 * q + 1):
+            assert ctx.lambda_pow(gamma, s) == lam.pow(s, ctx.M), (gamma, s)
 
 
 def test_solver_examples(ctx31):
