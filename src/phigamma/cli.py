@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .field import FieldSpec, default_modulus, make_field
+from .field import FieldSpec, default_modulus, is_prime, make_field
 from .series import LaurentSeries, PrecisionError
 from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
@@ -73,7 +73,10 @@ def build_context(cfg: dict, scale: int = 1):
         raise ConfigError("config needs integer fields 'p' and 'f'")
     p, f = _integral(cfg["p"], "p"), _integral(cfg["f"], "f")
     m = _integral(cfg.get("m", f), "m")
-    if not (1 <= f <= m and m % f == 0):  # before default_modulus, which would search for a degree-m polynomial
+    # checked before default_modulus, which would search all p^m polynomials for an irreducible one
+    if not is_prime(p):
+        raise ConfigError("p = %d is not prime" % p)
+    if not (1 <= f <= m and m % f == 0):
         raise ConfigError("need 1 <= f <= m with f | m (got f=%d, m=%d)" % (f, m))
     prec = cfg.get("precision", {})
     if not isinstance(prec, dict):

@@ -77,9 +77,9 @@ class Cocycle:
             if not k:
                 return out
             mu = kappa * ctx.gamma_act(gamma, mu) + mu
-            if k > 1 or out is not None:
-                kappa = module.kappa_gamma(gamma * gamma)
             gamma = gamma * gamma
+            if k > 1 or out is not None:
+                kappa = module.kappa_gamma(gamma)
 
     def generators(self):
         ctx = self.ctx

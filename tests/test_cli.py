@@ -98,6 +98,8 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, c=[True]), "vj-table"),
         (dict(GOOD, f=-1), "classify"),
         (dict(GOOD, f=2, m=3, c=[1, 1]), "classify"),
+        # a composite p used to search all p^m polynomials for a modulus
+        (dict(GOOD, p=1000000, f=2, c=[1, 1]), "classify"),
         # the int64 kernels of the Wach side need max(M, 2m - 1) (p^depth - 1)^2 < 2^63
         ({"p": 3, "f": 1, "precision": {"padic_depth": 20}}, "wach reduce"),
         ({"p": 3, "f": 1, "precision": {"padic_depth": 19}}, "wach reduce"),
@@ -135,6 +137,7 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "c=true",
         "f=-1",
         "m-not-multiple-of-f",
+        "p-not-prime",
         "padic_depth=20-at-3-1",
         "padic_depth=19-at-3-1",
         "padic_depth=14-at-5-1",
