@@ -54,13 +54,17 @@ def load_config(args) -> dict:
 
 
 def _integral(value, name: str):
-    """An integer of the config; a bool or a number with a fractional part is refused, not truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """An integer of the config; a bool, a string or a number with a fractional part is
+    refused, not converted or truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or isinstance(value, float) and not value.is_integer():
         raise ConfigError("'%s' must be an integer, not %r" % (name, value))
-    try:
-        return int(value)
-    except (ValueError, TypeError):
-        raise ConfigError("'%s' must be an integer, not %r" % (name, value))
+    return int(value)
+
+
+def _integral_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("'%s' must be a list of integers, not %r" % (name, value))
+    return [_integral(x, name) for x in value]
 
 
 def _optional(src: dict, key: str, default=None):
@@ -82,7 +86,7 @@ def build_context(cfg: dict, scale: int = 1):
     if not isinstance(prec, dict):
         raise ConfigError("'precision' must be an object")
     try:
-        modulus = tuple(cfg["modulus"]) if "modulus" in cfg else default_modulus(p, m)
+        modulus = tuple(_integral_list(cfg["modulus"], "modulus")) if "modulus" in cfg else default_modulus(p, m)
         field = make_field(FieldSpec(p, f, m, modulus))
         ctx = Context(
             field,
@@ -99,15 +103,20 @@ def build_context(cfg: dict, scale: int = 1):
 
 
 def parse_module(ctx: Context, cfg: dict) -> RankOneModule:
-    try:
-        Celt = ctx.field.element(cfg.get("C", 1))
-        c = [_integral(x, "c") for x in cfg["c"]] if "c" in cfg else None
-    except (ValueError, TypeError) as exc:  # a ConfigError is a ValueError
-        raise ConfigError("'C' must be a field element and 'c' a list of integers: %s" % exc)
+    """The module of 'C', an index in [0, p^m) or a coefficient vector, and the digits 'c'."""
+    C = cfg.get("C", 1)
+    if isinstance(C, list):
+        Celt = ctx.field.element(_integral_list(C, "C"))
+    else:
+        C = _integral(C, "C")
+        if not 0 <= C < ctx.field.q:
+            raise ConfigError("'C' as an index must lie in [0, p^m) = [0, %d), not %d" % (ctx.field.q, C))
+        Celt = ctx.field.from_index(C)
     if not Celt:
         raise ConfigError("C must be nonzero")
-    if c is None:
+    if "c" not in cfg:
         raise ConfigError("config needs the digit vector 'c'")
+    c = _integral_list(cfg["c"], "c")
     if len(c) != ctx.f:
         raise ConfigError("digit vector must have length f")
     try:

@@ -10,11 +10,16 @@ cyclotomic modules) get their own constructions.
 
 One linear problem underlies the certificates: a cocycle plus a correcting
 coboundary must vanish below given thresholds.  ``residual_system`` builds its
-matrix for a batch of columns in one pass (one ``tate.phi_transport`` solve, one
-batched gamma action).  The coboundary test and the span decomposition in the
-basis solve it with every threshold at the window top; the V_J systems of
-``bounded`` use the twisted thresholds.  ``PhiTransport`` is a view of one
-transport solve and gives the coboundary test its witness.
+matrix for a batch of columns in one pass (one transport fill, one batched gamma
+action) on the ``ResidualPlan`` of its window: the window's transport schedule and
+the crossing band, the phi rows that the coboundary's cut at the floor can leave
+nonzero; every other phi row is solved exactly by the transport.  The coboundary
+test and the span decomposition in the basis solve it with every threshold at the
+window top; the V_J systems of ``bounded`` use the twisted thresholds.  A basis
+keeps one ``SpanPlan`` per window, the residual plan with the basis columns
+factored, so that a later span decomposition builds and solves only its target
+column.  ``PhiTransport`` is a view of one transport solve and gives the
+coboundary test its witness.
 """
 from __future__ import annotations
 
@@ -25,9 +30,9 @@ import numpy as np
 
 from .field import FieldElement
 from .series import INF, LaurentSeries, PrecisionError
-from .tate import Context, GammaElement, NonBijectiveError, TateElement, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
+from .tate import Context, GammaElement, NonBijectiveError, TateElement, TransportSchedule, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
-from .gflinalg import gf
+from .gflinalg import Factored, gf
 
 
 class PivotError(AssertionError):
@@ -502,10 +507,10 @@ class ModuleBasis:
 
     def nbytes(self) -> int:
         """Bytes of the arrays the basis holds: its cocycles' series (with a derived
-        mu_xi) and the cached residual columns."""
+        mu_xi) and the span plans of its windows."""
         tates = [x for B in self.elements for x in (B.mu_phi, *B.mu_gen.values(), B._mu_xi_cache) if x is not None]
-        arrays = [s.rows for x in tates for s in x.comps] + [a for pair in self._residual_cache.values() for a in pair]
-        return sum({id(a): a.nbytes for a in arrays}.values())
+        series = {id(s.rows): s.rows.nbytes for x in tates for s in x.comps}
+        return sum(series.values()) + sum(span.nbytes() for span in self._residual_cache.values())
 
     def ext_class(self, coords) -> ExtClass:
         return ExtClass(tuple(coords), self.labels)
@@ -593,32 +598,67 @@ class PhiTransport:
         return self.ctx.tate([self.ctx.pi(e) for e in self.estar])
 
 
-def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False) -> np.ndarray:
-    """The encoded residual matrix of 'E plus the coboundary of b vanishes below the
-    thresholds', built in one batched pass: one transport, the phi rows gathered by
-    index arrays and the generator rows through one batched gamma action.
+class ResidualPlan:
+    """What ``residual_system`` needs that depends only on the module and the window:
+    b on [floor, Ub_i) (Ub defaults to theta_phi), transported below theta_phi_i.
 
-    b lives on [floor, Ub_i) (Ub defaults to theta_phi).  Below theta_phi_i it is
-    transported from -mu_phi(E); a parameter (i, n), n >= theta_phi_i, is free.  Rows:
-    phi on [p floor - max_i (p-1)c_i - 1, theta_phi_i), the fixed-cycle obstruction
-    slot (C = 1 and the cycle below theta_phi), then for each generator name and
-    component i the rows on [floor, theta_gen[name][i]).  Columns: one per cocycle E,
-    one per parameter (a unit coefficient), and with ``kernel`` one for the kernel
-    line of the phi-transport (b = pi^e* on the fixed cycle)."""
+    The transport window [lo, hi) holds every parameter and every source of a node in
+    it; ``schedule`` is its ``tate.TransportSchedule``.  The phi rows run over
+    [phi_lo, theta_phi_i), phi_lo = p floor - max_i (p-1)c_i - 1, but the transport
+    solves a row exactly unless the coboundary's cut at the floor splits it from its
+    source, so ``phi_rows[i]`` keeps only the crossing band: e < floor with a source at
+    or above the floor, e >= floor with a source in [lo, floor), and the fixed-cycle
+    exponent e*_i, whose row carries the cycle obstruction.  A row e < floor where a
+    cocycle's mu_phi is nonzero is added per system."""
+
+    def __init__(self, module: RankOneModule, floor: int, theta_phi, Ub=None):
+        ctx = module.ctx
+        p, f = ctx.p, ctx.f
+        Ub = theta_phi if Ub is None else Ub
+        if max(Ub) > ctx.M:
+            raise PrecisionError("window order %d is below the system thresholds" % ctx.M)
+        self.shifts = [(p - 1) * ci for ci in module.c]
+        estar = module.fixed_cycle()
+        self.cycle_slot = estar is not None and all(e < t for e, t in zip(estar, theta_phi)) and module.C == ctx.field.one()
+        self.lo, self.hi = lo, hi = min(floor, 1 - p, *theta_phi), max(Ub)
+        Ci = [module.kappa_phi_coeff(i) for i in range(f)]
+        self.schedule = TransportSchedule(ctx.field, p, self.shifts, Ci, lo, hi, free=theta_phi)
+        self.phi_lo = p * floor - max(self.shifts) - 1
+        self.phi_rows = []
+        for i in range(f):
+            e = np.arange(self.phi_lo, theta_phi[i])
+            num = e - self.shifts[i]
+            src = num // p
+            cross = (num % p == 0) & (src >= lo) & (src < hi) & ((e < floor) == (src >= floor))
+            if estar is not None:
+                cross |= e == estar[i]
+            self.phi_rows.append(e[cross])
+
+    def nbytes(self) -> int:
+        return self.schedule.nbytes() + sum(e.nbytes for e in self.phi_rows)
+
+
+def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None) -> np.ndarray:
+    """The encoded residual matrix of 'E plus the coboundary of b vanishes below the
+    thresholds', built in one batched pass: one transport, the phi rows of the
+    crossing band gathered by index arrays and the generator rows through one
+    batched gamma action.  ``plan`` is the ``ResidualPlan`` of (module, floor,
+    theta_phi, Ub), built here when not given.
+
+    b lives on [floor, Ub_i).  Below theta_phi_i it is transported from -mu_phi(E); a
+    parameter (i, n), n >= theta_phi_i, is free.  Rows: phi on [p floor - max_i
+    (p-1)c_i - 1, theta_phi_i), zero off the crossing band; the fixed-cycle
+    obstruction slot (C = 1 and the cycle below theta_phi), then for each generator
+    name and component i the rows on [floor, theta_gen[name][i]).  Columns: one per
+    cocycle E, one per parameter (a unit coefficient), and with ``kernel`` one for
+    the kernel line of the phi-transport (b = pi^e* on the fixed cycle)."""
     ctx = module.ctx
     field, G = ctx.field, gf(ctx.field)
     f, p, m = ctx.f, ctx.p, field.m
-    Ub = theta_phi if Ub is None else Ub
-    if max(Ub) > ctx.M:
-        raise PrecisionError("window order %d is below the system thresholds" % ctx.M)
-    shifts = [(p - 1) * ci for ci in module.c]
-    Ci = [module.kappa_phi_coeff(i) for i in range(f)]
-    estar = module.fixed_cycle()
-    cycle_slot = estar is not None and all(e < t for e, t in zip(estar, theta_phi)) and module.C == field.one()
+    plan = plan or ResidualPlan(module, floor, theta_phi, Ub)
+    lo, hi, phi_lo = plan.lo, plan.hi, plan.phi_lo
     E = list(cocycles)
     nE, B = len(E), len(E) + len(params) + kernel
-    # the transport window [lo, hi) holds every parameter and every source of a node in it
-    lo, hi = min(floor, 1 - p, *theta_phi), max(Ub)
     h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
     for k, c in enumerate(E):
         for i in range(f):
@@ -628,29 +668,31 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         h[comp, e - lo, 0, nE + np.arange(len(params))] = p - 1
     cycle_value = np.zeros((m, B), dtype=np.int64)
     cycle_value[0, nE + len(params) :] = 1  # the kernel column
-    b, obstruction = phi_transport(field, p, shifts, Ci, lo, hi, h, free=theta_phi, t=cycle_value)
+    b, obstruction = plan.schedule.fill(h, cycle_value)
     del h
     b[:, : floor - lo] = 0  # the coboundary is b on [floor, Ub)
     # the matrix, filled block by block as F_p digits and encoded once per block
-    phi_lo = p * floor - max(shifts) - 1
-    heights = [t - phi_lo for t in theta_phi] + [1] * cycle_slot + [t - floor for theta in theta_gen.values() for t in theta]
+    heights = [t - phi_lo for t in theta_phi] + [1] * plan.cycle_slot + [t - floor for theta in theta_gen.values() for t in theta]
     heights = [max(n, 0) for n in heights]
     out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
     blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
     for i in range(f):
-        e = np.arange(phi_lo, theta_phi[i])
-        num = e - shifts[i]
-        src = num // p
-        ok = (num % p == 0) & (src >= lo) & (src < hi)
-        own = e >= lo
-        mu = np.array([c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i]) for c in E], dtype=np.int64).reshape(nE, len(e), m).transpose(1, 2, 0)
-        live = ok | own | mu.any(axis=(1, 2))  # the other rows of the block are zero
-        rows = np.zeros((live.sum(), m, B), dtype=np.int64)
-        rows[ok[live]] = field.mul_matrix(Ci[i]) @ b[(i + 1) % f, src[ok] - lo]
-        rows[own[live]] -= b[i, e[own] - lo]
-        rows[:, :, :nE] += mu[live]
-        next(blocks)[live] = G.encode_rows(rows)
-    if cycle_slot:
+        n = max(theta_phi[i] - phi_lo, 0)
+        mu = np.array([c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i]) for c in E], dtype=np.int64).reshape(nE, n, m)
+        pos = plan.phi_rows[i] - phi_lo
+        below = mu[:, : floor - phi_lo].any(axis=(0, 2))
+        if below.any():
+            pos = np.union1d(pos, np.flatnonzero(below))
+        e = phi_lo + pos
+        src = (e - plan.shifts[i]) // p
+        ok = ((e - plan.shifts[i]) % p == 0) & (src >= lo) & (src < hi)
+        own = e >= floor  # b vanishes below the floor
+        rows = np.zeros((len(e), m, B), dtype=np.int64)
+        rows[ok] = plan.schedule.Cm[i] @ b[(i + 1) % f, src[ok] - lo]
+        rows[own] -= b[i, e[own] - lo]
+        rows[:, :, :nE] += mu[:, pos].transpose(1, 2, 0)
+        next(blocks)[pos] = G.encode_rows(rows)
+    if plan.cycle_slot:
         next(blocks)[:] = G.encode_rows(obstruction[None])
     for name, theta in theta_gen.items():
         top = max(floor + 1, *theta)  # one gamma batch on [floor, top): an image row depends only on rows at or below it
@@ -680,14 +722,33 @@ def _coboundary_window(module: RankOneModule, cocycles, floor=None):
     return fl, hi
 
 
-def _coboundary_system(module: RankOneModule, fl: int, hi: int, cocycles, kernel=True) -> np.ndarray:
+def _coboundary_system(module: RankOneModule, fl: int, hi: int, cocycles, kernel=True, plan: ResidualPlan = None) -> np.ndarray:
     """``residual_system`` with every threshold at hi, for the generators of the
     context; with ``kernel``, plus the kernel column when the module has a kernel
     line (C = 1 and a fixed cycle)."""
     ctx = module.ctx
     theta = [hi] * ctx.f
     kernel = kernel and module.C == ctx.field.one() and module.fixed_cycle() is not None
-    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel)
+    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel, plan=plan)
+
+
+@dataclass
+class SpanPlan:
+    """The entry of ``ModuleBasis._residual_cache`` for one coboundary window: the
+    window's ``ResidualPlan``, the rows that the basis columns (and the kernel
+    column) reach, and those columns on them, factored.  A later span decomposition
+    in the window builds only its target column and solves it with two mat-vecs mod p."""
+
+    plan: ResidualPlan
+    rows: np.ndarray
+    columns: Factored
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.columns.A
+
+    def nbytes(self) -> int:
+        return self.plan.nbytes() + self.rows.nbytes + self.columns.nbytes()
 
 
 @dataclass
@@ -715,7 +776,8 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
         fl, hi = _coboundary_window(module, [c], floor)
         A = _coboundary_system(module, fl, hi, [c])
         t = None
-        if A.shape[1] > 1:  # a kernel line: fit its parameter t
+        if A.shape[1] > 1:  # a kernel line: fit its parameter t on the rows that either column reaches
+            A = A[A.any(axis=1)]
             sol = gf(ctx.field).solve(A[:, 1:], A[:, 0])
             if sol is None:
                 return CoboundaryResult("no", reason="residual outside the kernel line", checked_to=hi)
@@ -730,23 +792,25 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
 
 def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     """Coordinates beta with c - sum beta_k B_k a coboundary, or None (NotInSpan).
-    The residual columns of the basis (and of the kernel line) are built once per
-    window, in the same pass as the first target; a later target is one more column."""
+    The first target of a window is built in one pass with the residual columns of the
+    basis (and of the kernel line), which are factored and kept with the window's
+    residual plan (``SpanPlan``); a later target is one more column on that plan."""
     module = c.module
     basis = basis or basis_for(module)
     ctx = module.ctx
     key = _coboundary_window(module, [c, *basis.elements])
-    if key not in basis._residual_cache:
-        target, A = np.split(_coboundary_system(module, *key, [c, *basis.elements]), [1], axis=1)
-        rows = A.any(axis=1)  # most rows vanish on every column; the cache keeps the others
-        basis._residual_cache[key] = rows, A[rows]
+    span = basis._residual_cache.get(key)
+    if span is None:
+        plan = ResidualPlan(module, key[0], [key[1]] * ctx.f)
+        target, A = np.split(_coboundary_system(module, *key, [c, *basis.elements], plan=plan), [1], axis=1)
+        rows = A.any(axis=1)  # most rows vanish on every column
+        span = basis._residual_cache[key] = SpanPlan(plan, rows, Factored(gf(ctx.field), A[rows]))
     else:
-        target = _coboundary_system(module, *key, [c], kernel=False)
-    rows, A = basis._residual_cache[key]
+        target = _coboundary_system(module, *key, [c], kernel=False, plan=span.plan)
     target = target[:, 0]
-    if target[~rows].any():  # a residual that no column reaches
+    if target[~span.rows].any():  # a residual that no column reaches
         return None
-    sol = gf(ctx.field).solve(A, target[rows])
+    sol = span.columns.solve(target[span.rows])
     if sol is None:
         return None
     return basis.ext_class(tuple(ctx.field.from_index(int(v)) for v in sol[: len(basis)]))

@@ -3,7 +3,9 @@
 An element sum c_i x^i is encoded as sum c_i p^i in [0, q).  Addition is a
 table lookup; multiplication goes through discrete log/exp tables relative to
 the field generator.  Intended for the moderate systems arising from tail
-functionals (a few thousand rows); tables require q <= 4096.
+functionals (a few thousand rows); tables require q <= 4096.  ``Factored`` keeps
+one matrix's independent rows, pivot columns and inverse block as F_p matrices,
+each F_q entry its m x m multiplication matrix, for many right-hand sides.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ class GF:
             x = x * g
         self.EXP = exp
         self.LOG = log
+        self.X = np.stack([field.mul_matrix(row) for row in np.eye(m, dtype=np.int64)])  # x^k as m x m matrices
 
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
         """(n, m, ...) coefficient rows -> (n, ...) encoded indices."""
@@ -52,6 +55,16 @@ class GF:
         pows = self.p ** np.arange(self.m)
         batch = rows.shape[2:]
         return (pows @ rows.reshape(len(rows), self.m, int(np.prod(batch)))).reshape(rows.shape[:1] + batch)
+
+    def digits(self, a) -> np.ndarray:
+        """Encoded indices (...) -> their F_p digits (..., m)."""
+        return np.asarray(a, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
+
+    def blocks(self, A) -> np.ndarray:
+        """The F_p form (r m, n m) of an encoded (r, n) matrix, each entry its m x m
+        multiplication matrix: blocks(A) @ digits(x).ravel() = digits(A x).ravel() mod p."""
+        r, n = np.shape(A)
+        return np.einsum("rnk,kij->rinj", self.digits(A), self.X).reshape(r * self.m, n * self.m) % self.p
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -132,6 +145,38 @@ class GF:
         ra, pa = self.rref(A)
         rb, pb = self.rref(B)
         return ra.shape == rb.shape and pa == pb and bool(np.array_equal(ra, rb))
+
+
+class Factored:
+    """A x = b for one encoded matrix A and many b.  S are the independent rows of A,
+    the pivots of rref(A^T), and P the pivot columns of A[S], which are those of A;
+    the F_p blocks of A and of A[S, P]^-1 are kept.  ``solve`` takes x_P = A[S, P]^-1 b_S
+    and x = 0 elsewhere, and returns x if A x = b and None otherwise.  When A x = b is
+    solvable, rref([A[S] | b_S]) is the nonzero part of rref([A | b]), so this is what
+    ``GF.solve`` returns."""
+
+    def __init__(self, G: GF, A):
+        self.G = G
+        self.A = np.asarray(A, dtype=np.int64)
+        n = self.A.shape[1]
+        self.S = np.array(G.rref(self.A.T)[1], dtype=np.int64)
+        # E [A[S] | 1] = [rref(A[S]) | E]: E A[S, P] = 1, as rref(A[S]) is the identity on P
+        R, P = G.rref(np.concatenate([self.A[self.S], np.eye(len(self.S), dtype=np.int64)], axis=1))
+        self.P = np.array(P, dtype=np.int64)
+        self.blocks = G.blocks(self.A)
+        self.inv = G.blocks(R[:, n:])
+
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.A, self.S, self.P, self.blocks, self.inv))
+
+    def solve(self, b):
+        G = self.G
+        d = G.digits(b)
+        x = np.zeros((self.A.shape[1], G.m), dtype=np.int64)
+        x[self.P] = (self.inv @ d[self.S].ravel() % G.p).reshape(-1, G.m)
+        if ((self.blocks @ x.ravel() - d.ravel()) % G.p).any():
+            return None
+        return x @ G.p ** np.arange(G.m)
 
 
 def gf(field: Field) -> GF:

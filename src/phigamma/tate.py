@@ -14,7 +14,9 @@ over the base-p digits d_j of |sigma|; no root is taken.  The caches (the heads 
 gamma(pi)^(-a), lambda_gamma and its powers) are at most O(M) series keyed globally,
 so contexts with equal parameters share them.
 The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
-``phi_transport``, for a batch of right-hand sides at once.
+``phi_transport``, for a batch of right-hand sides at once: a ``TransportSchedule``
+of the window (chain levels and the fixed cycle, independent of the right-hand
+sides), which a caller may keep for further right-hand sides, and its fill.
 """
 from __future__ import annotations
 
@@ -446,48 +448,44 @@ def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> Lauren
     return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)), q)
 
 
-def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: np.ndarray = None):
-    """Solve C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e] for b_i[e], i in Z/f, e in [lo, hi).
+class TransportSchedule:
+    """The fill order of the phi-transport C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e],
+    i in Z/f, e in [lo, hi): everything that depends on the field, q, the shifts, C, the
+    window and ``free`` but not on h, so that one schedule serves every h of its window.
 
-    h has shape (f, hi - lo, m, B): B right-hand sides solved at once.  A node
-    (i, e) whose source (i+1, (e - shifts_i)/q) is not an exponent in [lo, hi),
-    or with e >= free_i, is a root: b_i[e] = -h_i[e].  Every other node has one
-    source, so the nodes are filled in order of chain depth, one gather and one
-    batch of m x m products C_i per level.  Chains that reach no root end in the
-    fixed cycle, where (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k.  When
-    prod C = 1 that sum is the obstruction returned, and u_0 = t (an (m, B)
-    array, one value per right-hand side; default 0) where it vanishes, 0
-    elsewhere.  u_0 sits on the cycle node of the lowest component and the cycle
-    is filled forward from it, so a nonzero obstruction shows as the one failed
-    equation at the cycle's last node.
-    Returns b, of the shape of h, and the obstruction, of shape (m, B)."""
-    p, m = field.p, field.m
-    f, W, _, B = h.shape
-    e = np.arange(lo, hi)
-    num = e - np.asarray(shifts)[:, None]
-    src = num // q
-    free = np.full((f, 1), hi) if free is None else np.asarray(free)[:, None]
-    root = (num % q != 0) | (src < lo) | (src >= hi) | (e >= free)
-    nodes = np.arange(f * W).reshape(f, W)
-    succ = np.where(root, nodes, ((np.arange(f) + 1) % f * W)[:, None] + src - lo).ravel()
-    comp = np.repeat(np.arange(f), W)
-    Cm = np.stack([field.mul_matrix(c) for c in C])
-    h = h.reshape(f * W, m, B)
-    b = np.negative(h)
-    b %= p
-    done = root.ravel()
+    A node (i, e) whose source (i+1, (e - shifts_i)/q) is not an exponent in [lo, hi),
+    or with e >= free_i, is a root: b_i[e] = -h_i[e].  Every other node has one source,
+    so the nodes are filled in order of chain depth, one gather and one batch of m x m
+    products C_i per level (``levels``).  Chains that reach no root end in the fixed
+    cycle, where (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k.  u_0 sits on the cycle node
+    of the lowest component, and the cycle is filled forward from it, u_{k+1} =
+    C_k^-1 (u_k + h_k), before the levels that hang off it (``after``)."""
 
-    def fill():
-        while True:
-            idx = np.flatnonzero(~done & done[succ])
-            if idx.size == 0:
-                return
-            b[idx] = (np.einsum("nij,njb->nib", Cm[comp[idx]], b[succ[idx]]) - h[idx]) % p
-            done[idx] = True
+    def __init__(self, field: Field, q: int, shifts, C, lo: int, hi: int, free=None):
+        p, m = field.p, field.m
+        f, W = len(shifts), hi - lo
+        self.p, self.shape = p, (f, W)
+        e = np.arange(lo, hi)
+        num = e - np.asarray(shifts)[:, None]
+        src = num // q
+        free = np.full((f, 1), hi) if free is None else np.asarray(free)[:, None]
+        root = (num % q != 0) | (src < lo) | (src >= hi) | (e >= free)
+        nodes = np.arange(f * W).reshape(f, W)
+        succ = np.where(root, nodes, ((np.arange(f) + 1) % f * W)[:, None] + src - lo).ravel()
+        comp = np.repeat(np.arange(f), W)
+        self.Cm = np.stack([field.mul_matrix(c) for c in C])
+        done = root.ravel()
 
-    fill()
-    obstruction = np.zeros((m, B), dtype=np.int64)
-    if not done.all():
+        def levels():
+            out = []
+            while (idx := np.flatnonzero(~done & done[succ])).size:
+                out.append((idx, succ[idx], comp[idx]))
+                done[idx] = True
+            return out
+
+        self.levels, self.cycle, self.after = levels(), None, []
+        if done.all():
+            return
         x, path = int(np.flatnonzero(~done)[0]), []
         while x not in path:
             path.append(x)
@@ -495,19 +493,59 @@ def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarr
         cycle = path[path.index(x) :]
         x = min(cycle)  # u_0 sits on the cycle node of the lowest component
         cycle = cycle[cycle.index(x) :] + cycle[: cycle.index(x)]
-        acc, pref, prod = np.zeros((m, B), dtype=np.int64), np.eye(m, dtype=np.int64), field.one()
+        pref, prod = [np.eye(m, dtype=np.int64)], field.one()
         for n in cycle:
-            acc += pref @ h[n]
-            pref = pref @ Cm[comp[n]] % p
+            pref.append(pref[-1] @ self.Cm[comp[n]] % p)
             prod = prod * C[comp[n]]
-        if prod == field.one():
-            obstruction = acc % p
-            u = np.where(obstruction.any(axis=0), 0, 0 if t is None else t)
-        else:
-            u = field.mul_matrix((prod - 1).inv()) @ acc % p
-        for n in cycle:  # forward round the cycle, u_{k+1} = C_k^-1 (u_k + h_k)
-            b[n] = u
-            done[n] = True
-            u = field.mul_matrix(C[comp[n]].inv()) @ (u + h[n]) % p
-        fill()
-    return b.reshape(f, W, m, B), obstruction
+        self.cycle = np.array(cycle)
+        self.pref = np.stack(pref[:-1])  # C_0 ... C_{k-1} for the k-th cycle node
+        self.Cinv = np.stack([field.mul_matrix(C[comp[n]].inv()) for n in cycle])
+        self.cycle_inv = None if prod == field.one() else field.mul_matrix((prod - 1).inv())
+        done[self.cycle] = True
+        self.after = levels()
+
+    def nbytes(self) -> int:
+        arrays = [self.Cm] + [a for level in self.levels + self.after for a in level]
+        if self.cycle is not None:
+            arrays += [self.cycle, self.pref, self.Cinv]
+        return sum(a.nbytes for a in arrays)
+
+    def fill(self, h: np.ndarray, t: np.ndarray = None):
+        """b for the right-hand sides h, of shape (f, hi - lo, m, B), and the cycle
+        obstruction, of shape (m, B).  When prod C = 1 that obstruction is
+        sum_k C_0 ... C_{k-1} h_k, and u_0 = t (an (m, B) array, one value per
+        right-hand side; default 0) where it vanishes, 0 elsewhere, so a nonzero
+        obstruction shows as the one failed equation at the cycle's last node."""
+        p = self.p
+        f, W, m, B = h.shape
+        h = h.reshape(f * W, m, B)
+        b = np.negative(h)
+        b %= p
+
+        def fill(levels):
+            for idx, src, comp in levels:
+                b[idx] = (np.einsum("nij,njb->nib", self.Cm[comp], b[src]) - h[idx]) % p
+
+        fill(self.levels)
+        obstruction = np.zeros((m, B), dtype=np.int64)
+        if self.cycle is not None:
+            acc = np.einsum("kij,kjb->ib", self.pref, h[self.cycle]) % p
+            if self.cycle_inv is None:
+                obstruction = acc
+                u = np.where(acc.any(axis=0), 0, 0 if t is None else t)
+            else:
+                u = self.cycle_inv @ acc % p
+            for n, Cinv in zip(self.cycle, self.Cinv):  # forward round the cycle
+                b[n] = u
+                u = Cinv @ (u + h[n]) % p
+            fill(self.after)
+        return b.reshape(f, W, m, B), obstruction
+
+
+def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: np.ndarray = None):
+    """Solve C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e] for b_i[e], i in Z/f, e in [lo, hi),
+    for B right-hand sides at once: h has shape (f, hi - lo, m, B).  The window's
+    ``TransportSchedule`` (roots at the sources outside [lo, hi) and at e >= free_i,
+    chain levels, the fixed cycle) and its fill; t is the kernel value on a cycle with
+    prod C = 1.  Returns b, of the shape of h, and the cycle obstruction, of shape (m, B)."""
+    return TransportSchedule(field, q, shifts, C, lo, hi, free).fill(h, t)

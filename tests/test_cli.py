@@ -104,6 +104,22 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         ({"p": 3, "f": 1, "precision": {"padic_depth": 20}}, "wach reduce"),
         ({"p": 3, "f": 1, "precision": {"padic_depth": 19}}, "wach reduce"),
         ({"p": 5, "f": 1, "precision": {"padic_depth": 14}}, "wach example71"),
+        # an index C lies in [0, p^m): 7 used to run C = 1, and 99 and -1 at (5, 2) the index 24
+        (dict(GOOD, C=7), "classify"),
+        ({"p": 5, "f": 2, "C": 99, "c": [1, 2]}, "classify"),
+        ({"p": 5, "f": 2, "C": -1, "c": [1, 2]}, "vj-table"),
+        (dict(GOOD, C=True), "classify"),
+        # c is a JSON list: an object used to run its keys as digits
+        (dict(GOOD, c={"0": 1}), "classify"),
+        (dict(GOOD, c=1), "classify"),
+        # a string is refused in every integer field, not converted
+        (dict(GOOD, p="3"), "classify"),
+        (dict(GOOD, c=["1"]), "classify"),
+        (dict(GOOD, p=5, chi_eta="2"), "classify"),
+        (dict(GOOD, C="1"), "classify"),
+        (dict(GOOD, C=["1"]), "classify"),
+        (dict(GOOD, precision={"pi_order": "100"}), "classify"),
+        ({"p": 3, "f": 2, "modulus": ["1", "1", "2"], "C": 1, "c": [1, 1]}, "classify"),
     ],
     ids=[
         "pi_order<0",
@@ -141,6 +157,19 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "padic_depth=20-at-3-1",
         "padic_depth=19-at-3-1",
         "padic_depth=14-at-5-1",
+        "C=7-at-3-1",
+        "C=99-at-5-2",
+        "C=-1-at-5-2",
+        "C=true",
+        "c-object",
+        "c-int",
+        "p-string",
+        "c-string",
+        "chi_eta-string",
+        "C-string",
+        "C-vector-string",
+        "pi_order-string",
+        "modulus-string",
     ],
 )
 def test_malformed_config_exits_2_with_json_error(cfg, cmd):

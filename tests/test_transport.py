@@ -16,8 +16,8 @@ import pytest
 
 from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, RankOneModule, basis_for, coboundary, is_coboundary, span_decompose, weight_profiles
 from phigamma.bounded import BoundedSystem
-from phigamma.cocycle import PhiTransport
-from phigamma.gflinalg import gf
+from phigamma.cocycle import ModuleBasis, PhiTransport, ResidualPlan, _coboundary_window, residual_system
+from phigamma.gflinalg import Factored, gf
 from phigamma.tate import _solve_c_phi_minus_one, phi_transport, solve_phi_unit_tail
 
 from conftest import ctx_for, ref_op_lambda_gamma
@@ -484,3 +484,199 @@ def test_coboundary_tests_match_series_reference(p, f):
             assert span_decompose(x, sub) is None and ref_span_decompose(x, rest) is None, M
             seen_none = True
     assert seen_kernel and seen_none
+
+
+# -- the crossing band against the full phi-row build -------------------------------------
+
+
+def ref_residual_system(module, floor, theta_phi, theta_gen, cocycles=(), Ub=None, params=(), kernel=False):
+    """``residual_system`` with every phi row on [p floor - max_i (p-1)c_i - 1, theta_phi_i)
+    filled, zero or not: the full build that the crossing band replaced."""
+    ctx = module.ctx
+    field, G = ctx.field, gf(ctx.field)
+    f, p, m = ctx.f, ctx.p, field.m
+    Ub = theta_phi if Ub is None else Ub
+    shifts = [(p - 1) * ci for ci in module.c]
+    Ci = [module.kappa_phi_coeff(i) for i in range(f)]
+    estar = module.fixed_cycle()
+    cycle_slot = estar is not None and all(e < t for e, t in zip(estar, theta_phi)) and module.C == field.one()
+    E = list(cocycles)
+    nE, B = len(E), len(E) + len(params) + kernel
+    lo, hi = min(floor, 1 - p, *theta_phi), max(Ub)
+    h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
+    for k, c in enumerate(E):
+        for i in range(f):
+            h[i, : max(theta_phi[i] - lo, 0), :, k] = -c.mu_phi[i].coeff_rows(lo, theta_phi[i]) % p
+    if params:
+        comp, e = np.array(params).T
+        h[comp, e - lo, 0, nE + np.arange(len(params))] = p - 1
+    cycle_value = np.zeros((m, B), dtype=np.int64)
+    cycle_value[0, nE + len(params) :] = 1
+    b, obstruction = phi_transport(field, p, shifts, Ci, lo, hi, h, free=theta_phi, t=cycle_value)
+    b[:, : floor - lo] = 0
+    phi_lo = p * floor - max(shifts) - 1
+    pieces = []
+    for i in range(f):
+        e = np.arange(phi_lo, theta_phi[i])
+        num = e - shifts[i]
+        src = num // p
+        ok = (num % p == 0) & (src >= lo) & (src < hi)
+        own = e >= lo
+        rows = np.zeros((len(e), m, B), dtype=np.int64)
+        rows[ok] = field.mul_matrix(Ci[i]) @ b[(i + 1) % f, src[ok] - lo]
+        rows[own] -= b[i, e[own] - lo]
+        for k, c in enumerate(E):
+            rows[:, :, k] += c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i])
+        pieces.append(G.encode_rows(rows))
+    if cycle_slot:
+        pieces.append(G.encode_rows(obstruction[None]))
+    for name, theta in theta_gen.items():
+        top = max(floor + 1, *theta)
+        gamma = ctx.eta if name == "eta" else ctx.xi
+        x = b[:, floor - lo : top - lo].transpose(1, 0, 2, 3)
+        img = ctx.op_lambda_gamma_rows(gamma, [module.sigma(i) for i in range(f)], x, floor, top)
+        for i in range(f):
+            rows = img[: max(theta[i] - floor, 0), i]
+            for k, c in enumerate(E):
+                rows[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
+            pieces.append(G.encode_rows(rows))
+    return np.concatenate(pieces)
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_crossing_band_matches_full_phi_rows(p, f):
+    """Coboundary systems with and without the kernel column, the span systems of a
+    first and a later target, and BoundedSystem.run with parameters, on generic and
+    fixed-cycle modules (C = 1 with a kernel line, C != 1 without)."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(6000 * p + f)
+    seen_kernel = False
+    for M in modules(ctx, rng):
+        basis = basis_for(M).elements
+        x = basis_for(M).combination([F.random_element(rng) for _ in basis]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
+        for cocycles in [[x], [x, *basis], list(basis)]:
+            fl, hi = _coboundary_window(M, cocycles)
+            theta = [hi] * f
+            gens = {name: theta for name, _ in ctx.generators()}
+            for kernel in (False, True):
+                want = ref_residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
+                assert np.array_equal(residual_system(M, fl, theta, gens, cocycles, kernel=kernel), want), (M, len(cocycles), kernel)
+        seen_kernel |= M.C == F.one() and M.fixed_cycle() is not None
+    assert seen_kernel
+    seen_params = False
+    for M, prof in system_cases(ctx, rng):
+        sys_ = BoundedSystem(M, prof)
+        basis = basis_for(M).elements
+        want = ref_residual_system(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub, sys_.params)
+        assert np.array_equal(sys_.run(basis), want), (M, prof)
+        seen_params |= bool(sys_.params)
+    assert seen_params
+
+
+def test_crossing_band_with_mu_phi_below_the_floor():
+    """Tail floor -1 > -c_i: the principal parts reach below the floor, where a phi
+    row is nonzero only through mu_phi, and the system adds those rows to its band;
+    a row e >= floor can have its source below the floor.  The basis columns and a
+    random cocycle with poles."""
+    ctx = ctx_for(5, 2, tail_floor=-1)
+    rng = random.Random(9000)
+    seen = seen_upper = False
+    for c in [(4, 1), (3, 3), (1, 2)]:
+        M = RankOneModule(ctx, 2, c)
+        basis = basis_for(M).elements
+        basis = basis + [basis_for(M).combination([ctx.field.random_element(rng) for _ in basis]) + coboundary(M, random_tate(ctx, rng, -2 * ctx.p, ctx.p))]
+        for J in [(), (0,), (1,), (0, 1)]:
+            for prof in weight_profiles(M, J):
+                sys_ = BoundedSystem(M, prof)
+                want = ref_residual_system(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub, sys_.params)
+                assert np.array_equal(sys_.run(basis), want), (M, prof)
+                seen |= any(B.mu_phi[i].low < min(sys_.Lb, sys_.theta_phi[i]) for B in basis for i in range(ctx.f))
+        # a floor above -c_i: the rows e >= floor whose source lies below the floor
+        for floor in (-1, -2):
+            theta = [3 * ctx.p] * ctx.f
+            want = ref_residual_system(M, floor, theta, {"eta": theta}, basis[-1:])
+            assert np.array_equal(residual_system(M, floor, theta, {"eta": theta}, basis[-1:]), want), (M, floor)
+            plan = ResidualPlan(M, floor, theta)
+            upper = [e for i in range(ctx.f) for e in plan.phi_rows[i] if e >= floor and (e - plan.shifts[i]) // ctx.p < floor]
+            seen_upper |= bool(upper)
+    assert seen and seen_upper
+
+
+# -- the stored span plan and the factored solve ------------------------------------------
+
+
+def factored_cases(G, rng):
+    """Random encoded matrices: full column rank, dependent columns, a zero column,
+    more columns than rows, and no rows."""
+    q = G.q
+    for rows, cols in [(7, 3), (12, 4), (3, 5), (1, 1)]:
+        A = np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        yield A
+        dep = A.copy()
+        c = rng.randrange(1, q)
+        dep[:, -1] = G.add(G.mul(np.full(rows, c), A[:, 0]), A[:, -2 if cols > 1 else 0])  # in the span of the others
+        yield dep
+        dep[:, 0] = 0
+        yield dep
+    yield np.zeros((0, 3), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_factored_solve_matches_gf_solve(p, f):
+    """Coordinates or None exactly as GF.solve, on consistent targets (A x for a random
+    x) and random ones, for random matrices and for the kernel-line span columns."""
+    ctx = ctx_for(p, f)
+    G = gf(ctx.field)
+    rng = random.Random(7000 * p + f)
+    mats = list(factored_cases(G, rng))
+    for M in modules(ctx, rng)[1:]:  # the fixed-cycle modules; those with C = 1 add the kernel column
+        basis = ModuleBasis(M)
+        span_decompose(basis.elements[0], basis)
+        (span,) = basis._residual_cache.values()
+        mats.append(span.A)
+    outcomes = set()
+    for A in mats:
+        fac = Factored(G, A)
+        for _ in range(6):
+            x = np.array([rng.randrange(G.q) for _ in range(A.shape[1])], dtype=np.int64)
+            consistent = np.zeros(len(A), dtype=np.int64)
+            for j in range(A.shape[1]):
+                consistent = G.add(consistent, G.mul(A[:, j], np.full(len(A), x[j])))
+            for t in [consistent, np.array([rng.randrange(G.q) for _ in range(len(A))], dtype=np.int64)]:
+                want, got = G.solve(A, t), fac.solve(t)
+                assert (want is None) == (got is None) and (want is None or np.array_equal(want, got)), A
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (5, 1)])
+def test_stored_schedule_is_the_modules_own(p, f):
+    """Modules with the same c but different C (1 and a generator): the transport
+    schedule stored in each span plan fills as a fresh phi_transport with its own C,
+    not with the other's; the fixed cycle with a kernel line (C = 1) and without it
+    (C = g) included.  Storing the plan grows the basis' byte count by its size."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(8000 * p + f)
+    for c in [((p - 1) // 2,) * f, tuple(rng.randrange(p - 1) for _ in range(f))]:
+        for C, other in [(F.one(), F.generator()), (F.generator(), F.one())]:
+            M = RankOneModule(ctx, C, c)
+            basis = ModuleBasis(M)
+            before = basis.nbytes()
+            x = basis.combination([F.random_element(rng) for _ in basis.elements])
+            assert span_decompose(x, basis) is not None
+            (((fl, hi), span),) = basis._residual_cache.items()
+            assert basis.nbytes() == before + span.nbytes() > before
+            plan = span.plan
+            h = np.array([[[[rng.randrange(p) for _ in range(2)] for _ in range(F.m)] for _ in range(plan.hi - plan.lo)] for _ in range(f)], dtype=np.int64)
+            t = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(F.m)], dtype=np.int64)
+
+            def fresh(C0):
+                Ci = [C0] + [F.one()] * (f - 1)
+                return phi_transport(F, p, plan.shifts, Ci, plan.lo, plan.hi, h, free=[hi] * f, t=t)
+
+            got = plan.schedule.fill(h, t)
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh(C))), (M, c)
+            assert not np.array_equal(got[0], fresh(other)[0]), (M, c)
+            assert span_decompose(x, basis) is not None and len(basis._residual_cache) == 1
