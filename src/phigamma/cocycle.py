@@ -743,10 +743,6 @@ class SpanPlan:
     rows: np.ndarray
     columns: Factored
 
-    @property
-    def A(self) -> np.ndarray:
-        return self.columns.A
-
     def nbytes(self) -> int:
         return self.plan.nbytes() + self.rows.nbytes + self.columns.nbytes()
 

@@ -464,7 +464,7 @@ class TransportSchedule:
     def __init__(self, field: Field, q: int, shifts, C, lo: int, hi: int, free=None):
         p, m = field.p, field.m
         f, W = len(shifts), hi - lo
-        self.p, self.shape = p, (f, W)
+        self.p = p
         e = np.arange(lo, hi)
         num = e - np.asarray(shifts)[:, None]
         src = num // q

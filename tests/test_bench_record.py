@@ -1,6 +1,6 @@
 """tools/bench_record.py summarises perfbench result files of a parent commit and
 a change: per workload and side the median and every run of each end-to-end
-metric, the rounds of each run, failed/attempted over all runs, and the count of
+metric, the rounds and tail percentile of each run, failed/attempted over all runs, and the count of
 units whose output digests differ between the sides."""
 import importlib.util
 import json
@@ -22,6 +22,7 @@ def result(sha, throughput, rss, rounds, failed, attempted, digests):
         "meta": {"workload": "ext_f3", "git_sha": sha, "src_lines": 3900},
         "metrics": {"throughput": {"value": throughput, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}},
         "rounds": rounds,
+        "unit_tail_percentile": 90 + rounds,
         "failed": failed,
         "attempted": attempted,
         "digests": digests,
@@ -51,6 +52,7 @@ def test_bench_record_summarises_both_sides(tmp_path, capsys):
     assert par["metrics"]["throughput"] == {"unit": "1/s", "median": 12.0, "runs": [10.0, 14.0]}
     assert chg["metrics"]["peak_rss_mb"] == {"unit": "MB", "median": 57.5, "runs": [57.0, 58.0]}
     assert (par["rounds"], chg["rounds"]) == ([8, 9], [10, 11])
+    assert (par["tail_percentiles"], chg["tail_percentiles"]) == ([98, 99], [100, 101])
     assert (par["failed"], par["attempted"], chg["failed"], chg["attempted"]) == (1, 210, 0, 250)
     assert (par["runs"], par["src_lines"]) == (2, [3900])
     assert (par["sha"], chg["sha"]) == ("PARENT", "bbb")  # an explicit SHA, else the recorded one

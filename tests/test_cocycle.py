@@ -401,7 +401,7 @@ def test_cold_first_span_matches_two_call_reference(p, f, C, c):
         key, (rows, A), want = _two_call_span(x, B)
         B._residual_cache = {}
         cold = span_decompose(x, B)
-        cached_rows, cached_A = B._residual_cache[key].rows, B._residual_cache[key].A
+        cached_rows, cached_A = B._residual_cache[key].rows, B._residual_cache[key].columns.A
         warm = span_decompose(x, B)
         assert np.array_equal(cached_rows, rows) and np.array_equal(cached_A, A)
         assert (want is None) == (B is partial)

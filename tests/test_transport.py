@@ -634,7 +634,7 @@ def test_factored_solve_matches_gf_solve(p, f):
         basis = ModuleBasis(M)
         span_decompose(basis.elements[0], basis)
         (span,) = basis._residual_cache.values()
-        mats.append(span.A)
+        mats.append(span.columns.A)
     outcomes = set()
     for A in mats:
         fac = Factored(G, A)

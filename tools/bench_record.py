@@ -6,8 +6,8 @@
 Each input is the result file of one ``perfbench/run.py`` run (it writes
 ``perfbench/out/<workload>-seed<N>-trace0.json``; copy it aside after each run).
 Per workload and side the record keeps the median and every run's value of each
-end-to-end metric, the rounds of each run, failed/attempted over all runs and the
-``src/`` line count; per workload it counts the units run on both sides (same round and unit id)
+end-to-end metric, the rounds and the tail percentile of each run (``unit_tail_s``
+depends on both), failed/attempted over all runs and the ``src/`` line count; per workload it counts the units run on both sides (same round and unit id)
 and those whose output digests differ.  A SHA defaults to the one the runs recorded.
 """
 from __future__ import annotations
@@ -38,6 +38,7 @@ def summary(runs: list, sha) -> dict:
         "src_lines": sorted({run["meta"]["src_lines"] for run in runs}),
         "runs": len(runs),
         "rounds": [run["rounds"] for run in runs],
+        "tail_percentiles": [run.get("unit_tail_percentile") for run in runs],
         "failed": sum(run["failed"] for run in runs),
         "attempted": sum(run["attempted"] for run in runs),
         "metrics": metrics,
