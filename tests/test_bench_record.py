@@ -58,3 +58,22 @@ def test_bench_record_summarises_both_sides(tmp_path, capsys):
     assert (par["sha"], chg["sha"]) == ("PARENT", "bbb")  # an explicit SHA, else the recorded one
     # units on both sides: (0, u0), (0, u1) and (1, u0); only (0, u1) differs
     assert record["ext_f3"]["digests"] == {"units_compared": 3, "mismatches": 1}
+
+
+def test_bench_record_keeps_seeds_apart(tmp_path, capsys):
+    """A seed draws other inputs under the same unit ids: its runs form their own
+    group, and their digests are not compared with another seed's."""
+    tool = load_bench_record()
+
+    def run(name, sha, seed, digest):
+        data = result(sha, 10.0 * seed, 60.0, 8, 0, 100, [[0, "u0", digest]])
+        data["meta"]["seed"] = seed
+        return write(tmp_path, name, data)
+
+    parent = [run("p1.json", "aaa", 1, "h1"), run("p2.json", "aaa", 2, "h2")]
+    change = [run("c1.json", "bbb", 1, "h1"), run("c2.json", "bbb", 2, "h2")]
+    assert tool.main(["--parent", *parent, "--change", *change]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == ["ext_f3", "ext_f3 seed 2"]
+    assert record["ext_f3 seed 2"]["parent"]["metrics"]["throughput"]["runs"] == [20.0]
+    assert all(group["digests"] == {"units_compared": 1, "mismatches": 0} for group in record.values())

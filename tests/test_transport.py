@@ -6,7 +6,9 @@ at a time: ``RefPhiTransport`` (the old ``cocycle.PhiTransport``),
 (the old ``BoundedSystem._transport``), ``ref_bounded_column`` (the old
 column-at-a-time ``BoundedSystem.run``), and ``ref_is_coboundary`` and
 ``ref_span_decompose``, the old coboundary tests: a tail layout and the residual
-functionals of one cocycle at a time, the gamma residuals as whole series.
+functionals of one cocycle at a time, the gamma residuals as whole series; and
+``ref_residual_system``, the batched build with every phi row filled, which the
+crossing band of ``residual_system`` replaced.
 """
 import copy
 import random

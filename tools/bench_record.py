@@ -5,10 +5,14 @@
 
 Each input is the result file of one ``perfbench/run.py`` run (it writes
 ``perfbench/out/<workload>-seed<N>-trace0.json``; copy it aside after each run).
-Per workload and side the record keeps the median and every run's value of each
-end-to-end metric, the rounds and the tail percentile of each run (``unit_tail_s``
-depends on both), failed/attempted over all runs and the ``src/`` line count; per workload it counts the units run on both sides (same round and unit id)
-and those whose output digests differ.  A SHA defaults to the one the runs recorded.
+Runs are grouped by workload and seed, because a seed draws other inputs under the
+same unit ids: the default seed 1 under the workload's name, another seed N under
+"<workload> seed N".  Per group and side the record keeps the median and every
+run's value of each end-to-end metric, the rounds and the tail percentile of each
+run (``unit_tail_s`` depends on both), failed/attempted over all runs and the
+``src/`` line count; per group it counts the units run on both sides (same round
+and unit id) and those whose output digests differ.  A SHA defaults to the one the
+runs recorded.
 """
 from __future__ import annotations
 
@@ -19,12 +23,13 @@ import sys
 
 
 def load(paths) -> dict:
-    """The result files by workload, in the order given."""
+    """The result files by workload and seed, in the order given."""
     runs = {}
     for path in paths:
         with open(path) as fh:
             run = json.load(fh)
-        runs.setdefault(run["meta"]["workload"], []).append(run)
+        name, seed = run["meta"]["workload"], run["meta"].get("seed", 1)
+        runs.setdefault(name if seed == 1 else "%s seed %d" % (name, seed), []).append(run)
     return runs
 
 
@@ -63,14 +68,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     parent, change = load(args.parent), load(args.change)
     record = {}
-    for workload in sorted(parent.keys() & change.keys()):
-        record[workload] = {
-            "parent": summary(parent[workload], args.parent_sha),
-            "change": summary(change[workload], args.change_sha),
+    for group in sorted(parent.keys() & change.keys()):
+        record[group] = {
+            "parent": summary(parent[group], args.parent_sha),
+            "change": summary(change[group], args.change_sha),
         }
-        p, c = digests(parent[workload]), digests(change[workload])
+        p, c = digests(parent[group]), digests(change[group])
         common = p.keys() & c.keys()
-        record[workload]["digests"] = {"units_compared": len(common), "mismatches": sum(len(p[k] | c[k]) > 1 for k in common)}
+        record[group]["digests"] = {"units_compared": len(common), "mismatches": sum(len(p[k] | c[k]) > 1 for k in common)}
     json.dump(record, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
