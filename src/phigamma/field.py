@@ -128,12 +128,23 @@ def _reduction_table(modulus, N: int) -> np.ndarray:
     return red
 
 
+def _residue_dtype(N: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every residue in [0, N); int64 above 2^32,
+    the dtype of every kernel (a uint64 operand would promote int64 arithmetic to float)."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if N - 1 <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
 class ResidueRing:
     """Z/N[x]/(g) on coefficient rows of length m = deg g: the arithmetic that
-    F_{p^m} (N = p) and W(F_{p^m})/p^n (N = p^n, g lifted to Z) share."""
+    F_{p^m} (N = p) and W(F_{p^m})/p^n (N = p^n, g lifted to Z) share.  ``dtype`` is
+    the storage dtype of its series' rows; the arithmetic below is int64."""
 
     def __init__(self, modulus, N: int):
         self.N, self.m = N, len(modulus) - 1
+        self.dtype = _residue_dtype(N)
         self._red = _reduction_table(modulus, N)
 
     def row(self, c) -> np.ndarray:

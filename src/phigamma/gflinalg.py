@@ -27,14 +27,18 @@ class GF:
         self.p, self.m, self.q = field.p, field.m, field.q
         p, m, q = self.p, self.m, self.q
         # digit decomposition of all indices
-        digits = np.zeros((q, m), dtype=np.int64)
+        digits = np.zeros((q, m), dtype=np.int32)
         v = np.arange(q)
         for i in range(m):
             digits[:, i] = v % p
             v = v // p
-        pows = p ** np.arange(m)
-        self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ pows).astype(np.int32)
-        self.NEG = ((-digits) % p @ pows).astype(np.int32)
+        self.ADD = np.zeros((q, q), dtype=np.int32)
+        for i in range(m):  # one digit plane at a time: no (q, q, m) intermediate
+            plane = np.add.outer(digits[:, i], digits[:, i])
+            plane %= p
+            plane *= p**i
+            self.ADD += plane
+        self.NEG = (-digits) % p @ (p ** np.arange(m, dtype=np.int32))
         g = field.generator()
         exp = np.zeros(2 * (q - 1), dtype=np.int32)
         log = np.zeros(q, dtype=np.int64)

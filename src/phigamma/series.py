@@ -80,11 +80,12 @@ def _as_order(x):
 class LaurentSeries:
     """Coefficients on exponents [floor, floor + len(rows)); zero up to ``order``.
 
-    Rows are numpy int64 vectors of length m over the coefficient ring ``field``
-    (a ``ResidueRing``: Z/N[x]/(g)), reduced mod N.  The leading row is nonzero and
-    trailing zero rows are trimmed, so exponents in [floor + len(rows), order)
-    carry implicit zeros.  Methods that take or return a ``FieldElement`` need a
-    ``Field``.
+    Rows are numpy vectors of length m over the coefficient ring ``field`` (a
+    ``ResidueRing``: Z/N[x]/(g)), reduced mod N and stored in ``field.dtype``, the
+    smallest unsigned dtype that holds N - 1; arithmetic widens them to int64, and
+    ``coeff_rows`` returns int64.  The leading row is nonzero and trailing zero rows
+    are trimmed, so exponents in [floor + len(rows), order) carry implicit zeros.
+    Methods that take or return a ``FieldElement`` need a ``Field``.
     """
 
     __slots__ = ("field", "floor", "order", "rows")
@@ -94,9 +95,9 @@ class LaurentSeries:
         self.order = _as_order(order)
         if _normalized:
             self.floor = floor
-            self.rows = rows
+            self.rows = rows.astype(field.dtype, copy=False)
             return
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)  # a caller's rows may lie outside [0, N)
         if rows.ndim == 1:
             rows = rows.reshape(-1, field.m)
         if self.order != INF:
@@ -105,16 +106,16 @@ class LaurentSeries:
         nz = np.flatnonzero(rows.any(axis=1))
         if nz.size == 0:
             self.floor = self.order
-            self.rows = rows[:0]
+            self.rows = rows[:0].astype(field.dtype)
         else:
             lo, hi = int(nz[0]), int(nz[-1])
             self.floor = floor + lo
-            self.rows = np.ascontiguousarray(rows[lo : hi + 1])
+            self.rows = np.ascontiguousarray(rows[lo : hi + 1], dtype=field.dtype)
 
     # -- constructors ----------------------------------------------------------
     @classmethod
     def zero(cls, field: ResidueRing, order=INF) -> "LaurentSeries":
-        return cls(field, _as_order(order), order, np.zeros((0, field.m), dtype=np.int64), _normalized=True)
+        return cls(field, _as_order(order), order, np.zeros((0, field.m), dtype=field.dtype), _normalized=True)
 
     @classmethod
     def monomial(cls, field: ResidueRing, n: int, coeff=1, order=INF) -> "LaurentSeries":
@@ -168,7 +169,7 @@ class LaurentSeries:
         return self.field.from_row(self.rows[i])
 
     def coeff_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Dense rows for exponents [lo, hi); raises if hi exceeds the window."""
+        """Dense int64 rows for exponents [lo, hi); raises if hi exceeds the window."""
         if hi <= lo:
             return np.zeros((0, self.field.m), dtype=np.int64)
         if hi > self.order:
@@ -204,7 +205,8 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.floor, self.order, (-self.rows) % self.field.N, _normalized=True)
+        neg = -self.rows.astype(np.int64) % self.field.N  # widened first: -x of unsigned rows wraps mod 2^bits
+        return LaurentSeries(self.field, self.floor, self.order, neg, _normalized=True)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -258,7 +260,7 @@ class LaurentSeries:
         if self.is_zero() or order <= k * self.floor:
             return LaurentSeries.zero(self.field, order)
         n = len(self.rows) if order == INF else min(len(self.rows), -((k * self.floor - order) // k))
-        rows = np.zeros((k * (n - 1) + 1, self.field.m), dtype=np.int64)
+        rows = np.zeros((k * (n - 1) + 1, self.field.m), dtype=self.rows.dtype)
         rows[::k] = self.rows[:n]
         return LaurentSeries(self.field, k * self.floor, order, rows)
 

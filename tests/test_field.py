@@ -94,6 +94,7 @@ def test_mul_matrix_is_multiplication(p, m):
 def schoolbook_mul_rows(field, a, b):
     """Reference product of coefficient rows: one np.convolve per pair of
     nonzero columns, then reduction by the modulus (int64; small p only)."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)  # np.convolve keeps uint8 and wraps
     ka, kb, m = a.shape[0], b.shape[0], field.m
     acc = np.zeros((max(ka + kb - 1, 0), 2 * m - 1), dtype=np.int64)
     for i in range(m):
@@ -236,3 +237,15 @@ def test_convolve_rows_matches_int_reference(N, ka, kb, da, db):
     # all-(N-1) operands fill the slot up to its bound min(ka, kb) min(da, db) (N-1)^2
     a[:], b[:] = N - 1, N - 1
     assert np.array_equal(convolve_rows(a, b, N), int_convolve_rows(a, b, N))
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(1, 10) if p**m <= 729])
+def test_gf_tables_match_the_broadcast_formula(p, m):
+    from phigamma.gflinalg import GF
+
+    gf = GF(make_field(FieldSpec(p, 1, m, default_modulus(p, m))))
+    q, pows = p**m, p ** np.arange(m)
+    digits = np.arange(q)[:, None] // pows % p
+    assert gf.ADD.dtype == gf.NEG.dtype == np.int32
+    assert np.array_equal(gf.ADD, (digits[:, None, :] + digits[None, :, :]) % p @ pows)
+    assert np.array_equal(gf.NEG, (-digits) % p @ pows)
