@@ -15,11 +15,15 @@ action) on the ``ResidualPlan`` of its window: the window's transport schedule a
 the crossing band, the phi rows that the coboundary's cut at the floor can leave
 nonzero; every other phi row is solved exactly by the transport.  The coboundary
 test and the span decomposition in the basis solve it with every threshold at the
-window top; the V_J systems of ``bounded`` use the twisted thresholds.  A basis
-keeps one ``SpanPlan`` per window, the residual plan with the basis columns
-factored, so that a later span decomposition builds and solves only its target
-column.  ``PhiTransport`` is a view of one transport solve and gives the
-coboundary test its witness.
+window top; the V_J systems of ``bounded`` use the twisted thresholds.  A
+coboundary system's b is nonzero on a few rows only, so its generator rows are
+products with columns of the operator (lambda^sigma gamma - 1), each the image of
+one pi^e, which a byte-bounded cache keeps per digits and window for every module
+that shares them; a V_J system, with a parameter on every row above its
+thresholds, takes one batched gamma action.  A basis keeps one ``SpanPlan`` per
+window, the residual plan with the basis columns factored, so that a later span
+decomposition builds and solves only its target column.  ``PhiTransport`` is a
+view of one transport solve and gives the coboundary test its witness.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from .field import FieldElement
 from .series import INF, LaurentSeries, PrecisionError
-from .tate import Context, GammaElement, NonBijectiveError, TateElement, TransportSchedule, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
+from .tate import _WORK, Context, GammaElement, NonBijectiveError, TateElement, TransportSchedule, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
 from .gflinalg import Factored, gf
 
@@ -501,6 +505,13 @@ class ModuleBasis:
             elements = [build_Bi(module, i) for i in range(ctx.f)]
         self.elements = elements
         self.labels = tuple(c.label for c in elements)
+        self._extent = (None, None)
+
+    def extent(self):
+        """The ``_extent`` of the elements (and the fixed cycle), walked once per element list."""
+        if self._extent[0] is not self.elements:
+            self._extent = (self.elements, _extent(self.module, self.elements))
+        return self._extent[1]
 
     def __len__(self):
         return len(self.elements)
@@ -525,6 +536,20 @@ class ModuleBasis:
 
 _BASIS_CACHE = {}  # most recently used last
 _BASIS_CACHE_BYTES = 3 << 20  # array bytes kept over all cached bases; the newest always stays
+_COLUMN_CACHE = {}  # (ctx.key, chi(gamma), sigma, floor, top) -> {e: column}, most recently used last
+_COLUMN_CACHE_BYTES = 1 << 20  # operator column bytes kept over all windows; the newest always stays
+
+
+def _fit(cache: dict, size, budget: int):
+    """Drop the least recently used entries of ``cache`` until the sizes of the rest
+    total at most ``budget``; the newest entry (the last) always stays."""
+    sizes = [size(v) for v in cache.values()]
+    total = sum(sizes)
+    for old, n in zip(list(cache)[:-1], sizes):
+        if total <= budget:
+            break
+        del cache[old]
+        total -= n
 
 
 def basis_for(module: RankOneModule) -> ModuleBasis:
@@ -532,17 +557,10 @@ def basis_for(module: RankOneModule) -> ModuleBasis:
     never on a hit, and the least recently used bases go until it fits its bytes."""
     key = (module.ctx.key, module.C.index(), module.c)
     basis = _BASIS_CACHE.pop(key, None)
+    _BASIS_CACHE[key] = ModuleBasis(module) if basis is None else basis
     if basis is None:
-        basis = ModuleBasis(module)
-        sizes = [b.nbytes() for b in _BASIS_CACHE.values()]
-        total = basis.nbytes() + sum(sizes)
-        for old, size in zip(list(_BASIS_CACHE), sizes):
-            if total <= _BASIS_CACHE_BYTES:
-                break
-            del _BASIS_CACHE[old]
-            total -= size
-    _BASIS_CACHE[key] = basis
-    return basis
+        _fit(_BASIS_CACHE, ModuleBasis.nbytes, _BASIS_CACHE_BYTES)
+    return _BASIS_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +656,54 @@ class ResidualPlan:
         return self.schedule.nbytes() + sum(e.nbytes for e in self.phi_rows)
 
 
-def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None) -> np.ndarray:
+def _operator_columns(ctx: Context, gamma: GammaElement, sigma: int, floor: int, top: int, support) -> np.ndarray:
+    """Columns of (lambda_gamma^sigma gamma - 1) on [floor, top): the image of pi^e for
+    each exponent e in ``support``, one row each, in ``field.dtype``.  The columns of a
+    window are kept in ``_COLUMN_CACHE``, shared by every module with the same digits; a
+    missing one is ``op_lambda_gamma_rows`` on a unit vector, built in groups of at most
+    ``tate._WORK`` entries."""
+    key = (ctx.key, gamma.chi_int, sigma, floor, top)
+    cols = _COLUMN_CACHE.pop(key, {})
+    _COLUMN_CACHE[key] = cols
+    missing = [e for e in support if e not in cols]
+    if missing:
+        n = top - floor
+        width = max(1, _WORK // n)
+        for j in range(0, len(missing), width):
+            group = missing[j : j + width]
+            x = np.zeros((n, len(group)), dtype=np.int64)
+            x[np.array(group) - floor, np.arange(len(group))] = 1
+            img = ctx.op_lambda_gamma_rows(gamma, sigma, x, floor, top)
+            cols.update(zip(group, img.T.astype(ctx.field.dtype)))
+        _fit(_COLUMN_CACHE, lambda c: sum(v.nbytes for v in c.values()), _COLUMN_CACHE_BYTES)
+    return np.stack([cols[e] for e in support])
+
+
+def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.ndarray, floor: int, top: int) -> np.ndarray:
+    """``ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, top)`` for x of shape
+    (top - floor, f, m, B), from cached operator columns (``_operator_columns``).  The
+    operator is F_p-linear and acts on each digit column alone, so component i's image is
+    its columns on S, the rows where x_i is nonzero, times those rows."""
+    p, n = ctx.p, top - floor
+    out = np.zeros(x.shape, dtype=np.int64)
+    for i, sigma in enumerate(sigmas):
+        xi = x[:, i].reshape(n, -1)
+        S = np.flatnonzero(xi.any(axis=1))
+        if S.size:
+            cols = _operator_columns(ctx, gamma, sigma, floor, top, (S + floor).tolist())
+            out[:, i] = (cols.T @ xi[S] % p).reshape(n, *x.shape[2:])
+    return out
+
+
+def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None, columns=False) -> np.ndarray:
     """The encoded residual matrix of 'E plus the coboundary of b vanishes below the
     thresholds', built in one batched pass: one transport, the phi rows of the
-    crossing band gathered by index arrays and the generator rows through one
-    batched gamma action.  ``plan`` is the ``ResidualPlan`` of (module, floor,
-    theta_phi, Ub), built here when not given.
+    crossing band gathered by index arrays, the generator rows through one batched
+    gamma action or, with ``columns`` (the coboundary systems, where b is nonzero on a
+    few rows), as products with cached operator columns.  The phi bands and the cycle
+    slot are one F_p digit array and each generator's image another, each encoded
+    once.  ``plan`` is the ``ResidualPlan`` of (module, floor, theta_phi, Ub), built
+    here when not given.
 
     b lives on [floor, Ub_i).  Below theta_phi_i it is transported from -mu_phi(E); a
     parameter (i, n), n >= theta_phi_i, is free.  Rows: phi on [p floor - max_i
@@ -657,6 +717,7 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     f, p, m = ctx.f, ctx.p, field.m
     plan = plan or ResidualPlan(module, floor, theta_phi, Ub)
     lo, hi, phi_lo = plan.lo, plan.hi, plan.phi_lo
+    sigmas = module.sigmas()
     E = list(cocycles)
     nE, B = len(E), len(E) + len(params) + kernel
     h = np.zeros((f, hi - lo, m, B), dtype=np.int64)
@@ -671,11 +732,9 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     b, obstruction = plan.schedule.fill(h, cycle_value)
     del h
     b[:, : floor - lo] = 0  # the coboundary is b on [floor, Ub)
-    # the matrix, filled block by block as F_p digits and encoded once per block
     heights = [t - phi_lo for t in theta_phi] + [1] * plan.cycle_slot + [t - floor for theta in theta_gen.values() for t in theta]
-    heights = [max(n, 0) for n in heights]
-    out = np.zeros((sum(heights), B), dtype=np.int64)  # encoded
-    blocks = iter(np.split(out, np.cumsum(heights)[:-1]))
+    starts = np.cumsum([0] + [max(n, 0) for n in heights])
+    index, blocks = [], []
     for i in range(f):
         n = max(theta_phi[i] - phi_lo, 0)
         mu = np.array([c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i]) for c in E], dtype=np.int64).reshape(nE, n, m)
@@ -691,45 +750,63 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         rows[ok] = plan.schedule.Cm[i] @ b[(i + 1) % f, src[ok] - lo]
         rows[own] -= b[i, e[own] - lo]
         rows[:, :, :nE] += mu[:, pos].transpose(1, 2, 0)
-        next(blocks)[pos] = G.encode_rows(rows)
+        index.append(starts[i] + pos)
+        blocks.append(rows)
     if plan.cycle_slot:
-        next(blocks)[:] = G.encode_rows(obstruction[None])
+        index.append(starts[f : f + 1])
+        blocks.append(obstruction[None])
+    out = np.zeros((starts[-1], B), dtype=np.int64)  # encoded
+    out[np.concatenate(index)] = G.encode_rows(np.concatenate(blocks))
+    gamma_rows = functools.partial(_gamma_rows_from_columns, ctx) if columns else ctx.op_lambda_gamma_rows
+    k = f + plan.cycle_slot
     for name, theta in theta_gen.items():
         top = max(floor + 1, *theta)  # one gamma batch on [floor, top): an image row depends only on rows at or below it
         gamma = ctx.eta if name == "eta" else ctx.xi
         x = b[:, floor - lo : top - lo].transpose(1, 0, 2, 3)  # components on axis 1
-        img = ctx.op_lambda_gamma_rows(gamma, [module.sigma(i) for i in range(f)], x, floor, top)
+        img = gamma_rows(gamma, sigmas, x, floor, top)
         for i in range(f):
-            rows = img[: max(theta[i] - floor, 0), i]
-            for k, c in enumerate(E):
-                rows[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
-            next(blocks)[:] = G.encode_rows(rows)
+            for j, c in enumerate(E):
+                img[: max(theta[i] - floor, 0), i, :, j] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
+        img = G.encode_rows(img.transpose(0, 2, 1, 3))  # (top - floor, f, B)
+        for i in range(f):
+            out[starts[k] : starts[k + 1]] = img[: starts[k + 1] - starts[k], i]
+            k += 1
     return out
 
 
-def _coboundary_window(module: RankOneModule, cocycles, floor=None):
+def _extent(module: RankOneModule, cocycles, extent=None):
+    """(low, order) for the coboundary window of some cocycles: low at most 0, every
+    component's lowest exponent and ``extent[0]``, order at most every component's order
+    and ``extent[1]``.  ``extent`` stands for further cocycles already walked (a basis
+    keeps its own, ``ModuleBasis.extent``); by default it is one below the fixed cycle."""
+    if extent is None:
+        extent = (min([0] + [e - 1 for e in module.fixed_cycle() or ()]), INF)
+    comps = [x for c in cocycles for y in (c.mu_phi, *c.mu_gen.values()) for x in y.comps]
+    return min([extent[0]] + [x.low for x in comps]), min([extent[1]] + [x.order for x in comps])
+
+
+def _coboundary_window(module: RankOneModule, cocycles, floor=None, extent=None):
     """(floor, hi) of the coboundary residuals of some cocycles.  The floor is at most
     0, every component's lowest exponent, one below the fixed cycle, and ``floor``;
     hi is at most every component's order, M, max(4p^2, -4 floor) and M + floor (so
-    lambda's rows stay in its window)."""
+    lambda's rows stay in its window).  ``extent`` is as in ``_extent``."""
     ctx = module.ctx
-    comps = [x for c in cocycles for y in (c.mu_phi, *c.mu_gen.values()) for x in y.comps]
-    estar = module.fixed_cycle() or ()
-    fl = int(min([0] + [x.low for x in comps] + [e - 1 for e in estar] + ([] if floor is None else [floor])))
-    hi = int(min([ctx.M, max(4 * ctx.p**2, -4 * fl), ctx.M + fl] + [x.order for x in comps]))
-    if hi < 1 + max([1, *estar]):
+    low, order = _extent(module, cocycles, extent)
+    fl = int(low if floor is None else min(low, floor))
+    hi = int(min(ctx.M, max(4 * ctx.p**2, -4 * fl), ctx.M + fl, order))
+    if hi < 2:  # the fixed cycle lies at or below 0
         raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (fl, hi))
     return fl, hi
 
 
 def _coboundary_system(module: RankOneModule, fl: int, hi: int, cocycles, kernel=True, plan: ResidualPlan = None) -> np.ndarray:
     """``residual_system`` with every threshold at hi, for the generators of the
-    context; with ``kernel``, plus the kernel column when the module has a kernel
-    line (C = 1 and a fixed cycle)."""
+    context, its generator rows from cached operator columns; with ``kernel``, plus
+    the kernel column when the module has a kernel line (C = 1 and a fixed cycle)."""
     ctx = module.ctx
     theta = [hi] * ctx.f
     kernel = kernel and module.C == ctx.field.one() and module.fixed_cycle() is not None
-    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel, plan=plan)
+    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel, plan=plan, columns=True)
 
 
 @dataclass
@@ -794,7 +871,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     module = c.module
     basis = basis or basis_for(module)
     ctx = module.ctx
-    key = _coboundary_window(module, [c, *basis.elements])
+    key = _coboundary_window(module, [c], extent=basis.extent())
     span = basis._residual_cache.get(key)
     if span is None:
         plan = ResidualPlan(module, key[0], [key[1]] * ctx.f)

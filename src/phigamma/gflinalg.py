@@ -54,11 +54,13 @@ class GF:
         self.X = np.stack([field.mul_matrix(row) for row in np.eye(m, dtype=np.int64)])  # x^k as m x m matrices
 
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(n, m, ...) coefficient rows -> (n, ...) encoded indices."""
-        rows = np.asarray(rows, dtype=np.int64) % self.p
-        pows = self.p ** np.arange(self.m)
-        batch = rows.shape[2:]
-        return (pows @ rows.reshape(len(rows), self.m, int(np.prod(batch)))).reshape(rows.shape[:1] + batch)
+        """(n, m, ...) coefficient rows -> (n, ...) encoded indices, one digit plane at
+        a time, so no reduced copy of all of ``rows`` is made."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = rows[:, 0] % self.p
+        for k in range(1, self.m):
+            out += rows[:, k] % self.p * self.p**k
+        return out
 
     def digits(self, a) -> np.ndarray:
         """Encoded indices (...) -> their F_p digits (..., m)."""

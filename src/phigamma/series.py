@@ -230,6 +230,9 @@ class LaurentSeries:
         order = min(self.order + other.low, other.order + self.low)
         if self.is_zero() or other.is_zero():
             return LaurentSeries.zero(self.field, order)
+        if len(self.rows) == 1 or len(other.rows) == 1:  # a monomial factor: a scale and a shift
+            mono, s = (self, other) if len(self.rows) == 1 else (other, self)
+            return s.scale(mono.rows[0]).shift(mono.floor).truncate(order)
         floor = self.floor + other.floor
         keep = None if order == INF else order - floor  # rows that can land below the result's order
         rows = self.field.mul_rows(self.rows[:keep], other.rows[:keep])
@@ -302,11 +305,13 @@ class LaurentSeries:
     def pow(self, e: int, order=None) -> "LaurentSeries":
         if e < 0:
             return self.inv_unit(order=None if order is None else order).pow(-e, order)
-        result = LaurentSeries.one(self.field, INF if order is None else order)
+        if e == 0:
+            return LaurentSeries.one(self.field, INF if order is None else order)
+        result = None  # from the first factor on: a base with a pole keeps the window of repeated products
         base = self if order is None else self.truncate(_as_order(order) + max(0, -e * min(0, self.low)))
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base

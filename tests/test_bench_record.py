@@ -1,7 +1,7 @@
 """tools/bench_record.py summarises perfbench result files of a parent commit and
 a change: per workload and side the median and every run of each end-to-end
-metric, the rounds and tail percentile of each run, failed/attempted over all runs, and the count of
-units whose output digests differ between the sides."""
+metric, the rounds and tail percentile of each run, failed/attempted over all runs, the count of
+units whose output digests differ between the sides, and per metric the pairs of runs each side won."""
 import importlib.util
 import json
 from pathlib import Path
@@ -77,3 +77,25 @@ def test_bench_record_keeps_seeds_apart(tmp_path, capsys):
     assert list(record) == ["ext_f3", "ext_f3 seed 2"]
     assert record["ext_f3 seed 2"]["parent"]["metrics"]["throughput"]["runs"] == [20.0]
     assert all(group["digests"] == {"units_compared": 1, "mismatches": 0} for group in record.values())
+
+
+def test_bench_record_counts_the_pairs_each_side_won(tmp_path, capsys):
+    """Runs pair in the order given; a pair goes to the side better by the metric's
+    ``better`` in BENCHMARK.json (throughput higher, peak RSS lower), a tie to neither;
+    the parent's quartiles come with the counts."""
+    tool = load_bench_record()
+    parent = [(10.0, 60.0), (14.0, 62.0), (12.0, 61.0), (20.0, 59.0)]
+    change = [(15.0, 57.0), (14.0, 62.0), (11.0, 63.0), (30.0, 58.0)]
+    files = {}
+    for side, runs in (("p", parent), ("c", change)):
+        files[side] = [write(tmp_path, "%s%d.json" % (side, k), result(side, t, rss, 8, 0, 10, [])) for k, (t, rss) in enumerate(runs)]
+    assert tool.main(["--parent", *files["p"], "--change", *files["c"]]) == 0
+    pairs = json.loads(capsys.readouterr().out)["ext_f3"]["pairs"]
+    assert pairs["throughput"] == {"better": "higher", "parent_quartiles": [11.5, 15.5], "pairs": 4, "change_won": 2, "parent_won": 1}
+    assert pairs["peak_rss_mb"] == {"better": "lower", "parent_quartiles": [59.75, 61.25], "pairs": 4, "change_won": 2, "parent_won": 1}
+    # the order given decides the pairs: the change's runs reversed, and another BENCHMARK.json
+    spec = write(tmp_path, "bench.json", {"end_to_end": [{"name": "throughput", "better": "lower"}]})
+    assert tool.main(["--parent", *files["p"], "--change", *files["c"][::-1], "--benchmark", spec]) == 0
+    pairs = json.loads(capsys.readouterr().out)["ext_f3"]["pairs"]
+    assert list(pairs) == ["throughput"]
+    assert (pairs["throughput"]["change_won"], pairs["throughput"]["parent_won"]) == (2, 2)

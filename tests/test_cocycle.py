@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phigamma import (
+    Context,
     LaurentSeries,
     NonBijectiveError,
     RankOneModule,
@@ -235,22 +236,10 @@ def test_random_cocycles_decompose(ctx32, rng):
 def test_not_in_span(ctx31):
     # B_tr of the cyclotomic module is not in the span of the B_i
     M = RankOneModule(ctx31, 1, (1,))
-    basis_bi_only = [build_Bi(M, 0)]
     Btr = build_Btr(M)
-
-    class FakeBasis:
-        elements = basis_bi_only
-        labels = ("B_0",)
-        module = M
-        _residual_cache = {}
-
-        def ext_class(self, coords):
-            return coords
-
-        def __len__(self):
-            return 1
-
-    assert span_decompose(Btr, FakeBasis()) is None
+    bi_only = copy.copy(ModuleBasis(M))  # the basis without B_tr
+    bi_only.elements, bi_only.labels, bi_only._residual_cache = [build_Bi(M, 0)], ("B_0",), {}
+    assert span_decompose(Btr, bi_only) is None
 
 
 def test_ddagger_random_words(ctx32, rng):
@@ -469,6 +458,56 @@ def test_lambda_pow_obeys_cocycle_rule_at_eta_powers(p, f):
             lam = ctx.lambda_pow(gamma, s)
             assert ctx.lambda_pow(gamma * gamma, s) == lam * ctx.gamma_act_series(gamma, lam), s
         gamma = gamma * gamma
+
+
+def test_column_cache_is_bounded_by_bytes(monkeypatch):
+    """Building operator columns drops the least recently used windows until the cache
+    fits its byte bound, counted over every stored column; the newest window stays even
+    when it alone is larger, and a hit moves a window to the back."""
+    ctx = ctx_for(5, 1)
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+
+    def columns(floor, support):
+        return cocycle_mod._operator_columns(ctx, ctx.eta, 2, floor, 20, support)
+
+    def windows():
+        return [key[3] for key in cocycle_mod._COLUMN_CACHE]
+
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE_BYTES", 0)
+    columns(-5, [-5, 0])
+    assert columns(-4, [0]).shape == (1, 24) and windows() == [-4]
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE_BYTES", 1 << 30)
+    columns(-5, [-5, 0, 3])  # 3 columns of 25 bytes
+    columns(-4, [1])  # 2 columns of 24 bytes
+    columns(-5, [0])  # a hit: the order is now -4, -5
+    assert windows() == [-4, -5]
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE_BYTES", 75 + 3 * 23)
+    columns(-3, [-3, 2, 7])  # 3 columns of 23 bytes: -4 goes, -5 fits beside them
+    assert windows() == [-5, -3]
+    assert sum(c.nbytes for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values()) == 75 + 3 * 23
+    assert all(c.dtype == ctx.field.dtype for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values())
+
+
+def test_modules_with_the_same_digits_share_operator_columns(monkeypatch):
+    """A second module with the same digits and a new C meets the columns of the first:
+    its coboundary tests and span decompositions build none, counted by the calls of
+    ``op_lambda_gamma_rows``."""
+    ctx = ctx_for(5, 2)
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    rng = random.Random(31)
+    modules = [RankOneModule(ctx, C, (1, 3)) for C in (2, 3)]
+    inputs = []
+    for M in modules:
+        basis = ModuleBasis(M)  # built before counting: the elimination calls the operator too
+        inputs.append((basis, [random_cocycle(M, rng) for _ in range(2)]))
+    calls = []
+    op = Context.op_lambda_gamma_rows
+    monkeypatch.setattr(Context, "op_lambda_gamma_rows", lambda *args: calls.append(args) or op(*args))
+    for basis, cocycles in inputs:
+        before = len(calls)
+        assert [is_coboundary(B).status for B in basis.elements] == ["no"] * len(basis)
+        assert all(span_decompose(x, basis) is not None for x in cocycles)
+        assert (len(calls) > before) == (basis is inputs[0][0]), len(calls)
 
 
 def test_basis_cache_is_bounded_by_bytes(monkeypatch):

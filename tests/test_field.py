@@ -92,8 +92,9 @@ def test_mul_matrix_is_multiplication(p, m):
 
 
 def schoolbook_mul_rows(field, a, b):
-    """Reference product of coefficient rows: one np.convolve per pair of
-    nonzero columns, then reduction by the modulus (int64; small p only)."""
+    """Reference product of coefficient rows over a ``Field`` or a ``PadicRing``: one
+    np.convolve per pair of nonzero columns, then reduction by the modulus (int64;
+    small N only)."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)  # np.convolve keeps uint8 and wraps
     ka, kb, m = a.shape[0], b.shape[0], field.m
     acc = np.zeros((max(ka + kb - 1, 0), 2 * m - 1), dtype=np.int64)
@@ -105,7 +106,7 @@ def schoolbook_mul_rows(field, a, b):
             col_b = b[:, j]
             if col_b.any():
                 acc[:, i + j] += np.convolve(col_a, col_b)
-    return (acc % field.p) @ field._red % field.p
+    return (acc % field.N) @ field._red % field.N
 
 
 def int_mul_rows(field, a, b):

@@ -187,7 +187,9 @@ class RefPadicSeries:
         return x.shift(-v)
 
     def pow(self, e, order=None):
-        result = RefPadicSeries.one(self.ring, INF if order is None else order)
+        if e == 0:
+            return RefPadicSeries.one(self.ring, INF if order is None else order)
+        result = None  # from the first factor on, as LaurentSeries.pow
         base = self
         if e < 0:
             base = base.inv_unit(order)
@@ -196,7 +198,7 @@ class RefPadicSeries:
             base = base.truncate(order + max(0, -e * min(0, self.low)))
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base

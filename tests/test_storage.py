@@ -9,6 +9,7 @@ import pytest
 
 from phigamma import INF, FieldSpec, LaurentSeries, PadicRing, make_field, nth_root_unit
 from phigamma.field import Field, default_modulus
+from test_field import schoolbook_mul_rows
 
 FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)] + [(251, 1)]  # at 251, 2 (p - 1) > 255
 # (p, m, depth, dtype): both sides of each dtype boundary; at p = 2 int64 products that
@@ -173,12 +174,35 @@ def test_compact_rows_match_a_widened_reference(ring):
         u, ru = random_series(ring, gen, unit=True)
         check(u.inv_unit(), ru.inv_unit())
         check(u.inv_unit(order=4 - u.floor), ru.inv_unit(order=4 - u.floor))
-        got, want = u.pow(3, 8), ru.pow(3, 8)
-        assert got.order <= want.order  # pow starts from one(order): a pole costs it window
-        check(got, want.truncate(got.order))
+        check(u.pow(3, 8), ru.pow(3, 8))  # floor, order and rows of repeated products, poles included
         check(a.pow(2), ra.pow(2))
         if isinstance(ring, PadicRing):
             check(a.reduce_mod_p(ring.field), ra.reduce_mod_p(ring.field))
+
+
+@pytest.mark.parametrize("ring", [r for r in rings() if r.values[0].N < 2**16])
+def test_product_with_a_one_row_operand_is_a_scale_and_a_shift(ring, monkeypatch):
+    """A factor with one stored row (a monomial, with a pole or not) on either side of a
+    product: floor, order and rows against ``schoolbook_mul_rows``, with no call to the
+    product kernel."""
+    gen = np.random.default_rng(ring.N + ring.m)
+    pairs = []
+    for _ in range(40):
+        s, _ = random_series(ring, gen)
+        row = gen.integers(0, ring.N, (1, ring.m))
+        row[0, 0] = row[0, 0] or 1
+        order = INF if gen.random() < 0.5 else int(gen.integers(-6, 10))
+        mono = LaurentSeries(ring, min(int(gen.integers(-6, 4)), order - 1), order, row)
+        pairs += [(mono, s), (s, mono)]
+    want = []
+    for x, y in pairs:
+        rows = schoolbook_mul_rows(ring, x.rows, y.rows)
+        want.append(LaurentSeries(ring, x.floor + y.floor, min(x.order + y.low, y.order + x.low), rows))
+    monkeypatch.setattr(type(ring), "mul_rows", None)  # a call to the kernel would fail
+    for (x, y), w in zip(pairs, want):
+        got = x * y
+        assert got.rows.dtype == ring.dtype
+        assert (got.floor, got.order) == (w.floor, w.order) and np.array_equal(got.rows, w.rows), (x, y)
 
 
 @pytest.mark.parametrize("p,m", FIELDS)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from phigamma import LaurentSeries, NonBijectiveError, PrecisionError, RankOneModule, basis_for, coboundary, is_coboundary, span_decompose, weight_profiles
+from phigamma import cocycle as cocycle_mod
 from phigamma.bounded import BoundedSystem
 from phigamma.cocycle import ModuleBasis, PhiTransport, ResidualPlan, _coboundary_window, residual_system
 from phigamma.gflinalg import Factored, gf
@@ -603,6 +604,41 @@ def test_crossing_band_with_mu_phi_below_the_floor():
             upper = [e for i in range(ctx.f) for e in plan.phi_rows[i] if e >= floor and (e - plan.shifts[i]) // ctx.p < floor]
             seen_upper |= bool(upper)
     assert seen and seen_upper
+
+
+# -- generator rows from cached operator columns -------------------------------------------
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
+    """The generator rows of coboundary systems, from cached operator columns, equal the
+    batched gamma action on the same b: the systems of a random cocycle with poles, alone
+    and with the basis, with and without the kernel column, on generic and kernel modules
+    (eta and xi at p = 2); and a sparse random batch with a pole, for eta and xi."""
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(9500 * p + f)
+    for M in modules(ctx, rng):
+        basis = basis_for(M).elements
+        x = basis_for(M).combination([F.random_element(rng) for _ in basis]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
+        for cocycles in [[x], [x, *basis]]:
+            fl, hi = _coboundary_window(M, cocycles)
+            theta = [hi] * f
+            gens = {name: theta for name, _ in ctx.generators()}
+            for kernel in (False, True):
+                want = residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
+                assert np.array_equal(residual_system(M, fl, theta, gens, cocycles, kernel=kernel, columns=True), want), (M, kernel)
+    gen = np.random.default_rng(p * 10 + f)
+    floor, top = -3 * p, 5 * p
+    x = np.zeros((top - floor, f, F.m, 2), dtype=np.int64)
+    rows = gen.choice(top - floor, size=6, replace=False)
+    x[rows] = gen.integers(0, p, (6, f, F.m, 2))
+    sigmas = [int(s) for s in gen.integers(0, p**f, f)]
+    for gamma in (ctx.eta, ctx.xi):
+        want = ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, top)
+        assert np.array_equal(cocycle_mod._gamma_rows_from_columns(ctx, gamma, sigmas, x, floor, top), want), gamma
+    assert cocycle_mod._COLUMN_CACHE
 
 
 # -- the stored span plan and the factored solve ------------------------------------------
