@@ -767,9 +767,9 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         for i in range(f):
             for j, c in enumerate(E):
                 img[: max(theta[i] - floor, 0), i, :, j] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
-        img = G.encode_rows(img.transpose(0, 2, 1, 3))  # (top - floor, f, B)
+        enc = G.encode_rows(img.transpose(0, 2, 1, 3))  # (top - floor, f, B)
         for i in range(f):
-            out[starts[k] : starts[k + 1]] = img[: starts[k + 1] - starts[k], i]
+            out[starts[k] : starts[k + 1]] = enc[: starts[k + 1] - starts[k], i]
             k += 1
     return out
 
