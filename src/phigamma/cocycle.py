@@ -505,13 +505,7 @@ class ModuleBasis:
             elements = [build_Bi(module, i) for i in range(ctx.f)]
         self.elements = elements
         self.labels = tuple(c.label for c in elements)
-        self._extent = (None, None)
-
-    def extent(self):
-        """The ``_extent`` of the elements (and the fixed cycle), walked once per element list."""
-        if self._extent[0] is not self.elements:
-            self._extent = (self.elements, _extent(self.module, self.elements))
-        return self._extent[1]
+        self.extent = _extent(module, elements)  # walked once, not on every span
 
     def __len__(self):
         return len(self.elements)
@@ -871,7 +865,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     module = c.module
     basis = basis or basis_for(module)
     ctx = module.ctx
-    key = _coboundary_window(module, [c], extent=basis.extent())
+    key = _coboundary_window(module, [c], extent=basis.extent)
     span = basis._residual_cache.get(key)
     if span is None:
         plan = ResidualPlan(module, key[0], [key[1]] * ctx.f)

@@ -1,8 +1,10 @@
+import copy
 import random
 
 import pytest
 
 from phigamma import Context, FieldSpec, make_field
+from phigamma.cocycle import _extent
 from phigamma.field import default_modulus
 
 
@@ -59,3 +61,14 @@ def ref_op_lambda_gamma(ctx, gamma, sigma, s, out_order=None):
     img = ctx.gamma_act_series(gamma, s, out_order)
     out = ctx.lambda_pow(gamma, sigma) * img - s
     return out if out_order is None else out.truncate(out_order)
+
+
+def sub_basis(basis, keep):
+    """A copy of a ``ModuleBasis`` with only the elements at the indices ``keep``,
+    their extent, and no span plans."""
+    sub = copy.copy(basis)
+    sub.elements = [basis.elements[k] for k in keep]
+    sub.labels = tuple(basis.labels[k] for k in keep)
+    sub.extent = _extent(basis.module, sub.elements)
+    sub._residual_cache = {}
+    return sub

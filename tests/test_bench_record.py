@@ -79,7 +79,7 @@ def test_bench_record_keeps_seeds_apart(tmp_path, capsys):
     assert all(group["digests"] == {"units_compared": 1, "mismatches": 0} for group in record.values())
 
 
-def test_bench_record_counts_the_pairs_each_side_won(tmp_path, capsys):
+def test_bench_record_counts_the_pairs_each_side_won(tmp_path, capsys, monkeypatch):
     """Runs pair in the order given; a pair goes to the side better by the metric's
     ``better`` in BENCHMARK.json (throughput higher, peak RSS lower), a tie to neither;
     the parent's quartiles come with the counts."""
@@ -95,7 +95,8 @@ def test_bench_record_counts_the_pairs_each_side_won(tmp_path, capsys):
     assert pairs["peak_rss_mb"] == {"better": "lower", "parent_quartiles": [59.75, 61.25], "pairs": 4, "change_won": 2, "parent_won": 1}
     # the order given decides the pairs: the change's runs reversed, and another BENCHMARK.json
     spec = write(tmp_path, "bench.json", {"end_to_end": [{"name": "throughput", "better": "lower"}]})
-    assert tool.main(["--parent", *files["p"], "--change", *files["c"][::-1], "--benchmark", spec]) == 0
+    monkeypatch.setattr(tool, "BENCHMARK", spec)
+    assert tool.main(["--parent", *files["p"], "--change", *files["c"][::-1]]) == 0
     pairs = json.loads(capsys.readouterr().out)["ext_f3"]["pairs"]
     assert list(pairs) == ["throughput"]
     assert (pairs["throughput"]["change_won"], pairs["throughput"]["parent_won"]) == (2, 2)

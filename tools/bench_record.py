@@ -103,10 +103,9 @@ def main(argv=None) -> int:
     ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
     ap.add_argument("--parent-sha")
     ap.add_argument("--change-sha")
-    ap.add_argument("--benchmark", default=str(BENCHMARK), help="the BENCHMARK.json that says which way each metric is better")
     args = ap.parse_args(argv)
     parent, change = load(args.parent), load(args.change)
-    better_of = better(args.benchmark)
+    better_of = better(BENCHMARK)
     record = {}
     for group in sorted(parent.keys() & change.keys()):
         record[group] = {
