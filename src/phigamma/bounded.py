@@ -71,7 +71,6 @@ class BoundedSystem:
             self.theta_gen[name] = base
         self.Lb = ctx.L
         shifts = [(p - 1) * module.c[i] for i in range(f)]
-        self.shifts = shifts
         ub = []
         for i in range(f):
             cands = [self.theta_phi[i], 1]
@@ -82,21 +81,11 @@ class BoundedSystem:
             ub.append(max(cands))
         self.Ub = ub
         self.params = [(i, n) for i in range(f) for n in range(self.theta_phi[i], ub[i])]
-        one = ctx.field.one()
-        self.Ci = [module.C if i == 0 else one for i in range(f)]
-        self.estar = module.fixed_cycle()
-        self.cycle_transported = self.estar is not None and all(self.estar[i] < self.theta_phi[i] for i in range(f))
-        self.has_cycle_slot = self.cycle_transported and module.C == one
-        self.phi_lo = p * self.Lb - max(shifts) - 1
-        self.gen_lo = self.Lb
 
     def run(self, cocycles=()) -> np.ndarray:
         """The residual matrix at the profile's thresholds (``cocycle.residual_system``):
         one column per cocycle E, then one per parameter (a unit coefficient)."""
         return residual_system(self.module, self.Lb, self.theta_phi, self.theta_gen, cocycles, self.Ub, self.params)
-
-    def n_params(self) -> int:
-        return len(self.params)
 
 
 def is_bounded_class(twisted: TwistedCocycle, strict_p2: bool = False) -> str:
@@ -124,11 +113,6 @@ class SubspaceReport:
     basis: list
     window: tuple
     stable: bool
-
-    def coord_matrix(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, len(basis_for(self.module))), dtype=np.int64)
-        return np.array([[c.index() for c in e.coords] for e in self.basis], dtype=np.int64)
 
 
 def _vj_span(module: RankOneModule, prof: WeightProfile, strict_p2=False):

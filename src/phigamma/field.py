@@ -407,10 +407,6 @@ class Field(ResidueRing):
         for idx in range(self.q):
             yield self.from_index(idx)
 
-    def subfield_k_elements(self):
-        """All elements fixed by the p^f-power Frobenius (exhaustive; small q only)."""
-        return [x for x in self.elements() if self.frobenius(x, self.f) == x]
-
     def random_element(self, rng, nonzero=False) -> FieldElement:
         lo = 1 if nonzero else 0
         return self.from_index(rng.randrange(lo, self.q))

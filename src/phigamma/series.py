@@ -31,15 +31,6 @@ class PadicInteger:
         self.value = value
         self.ndigits = ndigits
 
-    @classmethod
-    def from_digits(cls, p: int, digits) -> "PadicInteger":
-        v = 0
-        for d in reversed(list(digits)):
-            if not 0 <= d < p:
-                raise ValueError("digit out of range [0, p)")
-            v = v * p + d
-        return cls(p, v, len(list(digits)) if not isinstance(digits, list) else len(digits))
-
     def digits(self, n: int = None) -> list:
         n = self.ndigits if n is None else n
         if n > self.ndigits:
@@ -50,16 +41,6 @@ class PadicInteger:
             out.append(v % self.p)
             v //= self.p
         return out
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def unit_level(self) -> int:
-        """Largest n with value = 1 mod p^n (capped at ndigits)."""
-        n = 0
-        while n < self.ndigits and (self.value - 1) % self.p ** (n + 1) == 0:
-            n += 1
-        return n
 
     def __mul__(self, other):
         o = other.value if isinstance(other, PadicInteger) else other

@@ -401,11 +401,8 @@ class Context:
 
 
 def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSeries) -> LaurentSeries:
-    """Solve (C pi^((p-1)Sigma) Phi - 1)(g) = h on F[[pi]], with Phi(g)(pi) = g(pi^(p^f)).
-
-    Neumann iteration when Sigma > 0; coefficient recursion from degree 0
-    upward when Sigma = 0 (requires C != 1).
-    """
+    """Solve (C pi^((p-1)Sigma) Phi - 1)(g) = h on F[[pi]], with Phi(g)(pi) = g(pi^(p^f)),
+    by the phi-transport (requires C != 1 when Sigma = 0)."""
     field = ctx.field
     C = field.coerce(C)
     if not C:
@@ -417,23 +414,16 @@ def solve_phi_minus_one(ctx: Context, C: FieldElement, sigma: int, h: LaurentSer
     if sigma == 0 and C == field.one():
         raise NonBijectiveError("C Phi - 1 is not bijective for (C, Sigma) = (1, 0)")
     order = h.order if h.order != INF else ctx.M
-    order = int(min(order, ctx.M))
-    if sigma > 0:
-        shift = (ctx.p - 1) * sigma
-        acc = h.truncate(order)
-        term = acc
-        while not term.is_zero():
-            term = term.substitute_power(ctx.p**ctx.f, order - shift).shift(shift).scale(C)
-            acc = acc + term
-        return -acc
-    return _solve_c_phi_minus_one(ctx, C, h, order)
+    return _solve_c_phi_minus_one(ctx, C, h, int(min(order, ctx.M)), shift=(ctx.p - 1) * sigma)
 
 
-def _solve_c_phi_minus_one(ctx: Context, C: FieldElement, h: LaurentSeries, order: int, q: int = None) -> LaurentSeries:
-    """C g(pi^q) - g = h on F[[pi]] (q = p^f by default), one component of
-    ``phi_transport``; for C = 1 solves in pi F[[pi]]."""
+def _solve_c_phi_minus_one(
+    ctx: Context, C: FieldElement, h: LaurentSeries, order: int, q: int = None, shift: int = 0
+) -> LaurentSeries:
+    """C pi^shift g(pi^q) - g = h on F[[pi]] (q = p^f by default), one component of
+    ``phi_transport``; for C = 1 and shift 0 solves in pi F[[pi]]."""
     rows = h.coeff_rows(0, order)[None, :, :, None]
-    g, obstruction = phi_transport(ctx.field, q or ctx.p**ctx.f, [0], [C], 0, order, rows)
+    g, obstruction = phi_transport(ctx.field, q or ctx.p**ctx.f, [shift], [C], 0, order, rows)
     if obstruction.any():
         raise NonBijectiveError("constant-term obstruction for C = 1")
     return LaurentSeries(ctx.field, 0, order, g[0, :, :, 0])

@@ -2,7 +2,8 @@
 
 Coefficients live in W(F_{p^m})/p^N, represented as polynomials over Z/p^N
 modulo a fixed lift of the field modulus.  On this side phi(pi) = (1+pi)^p - 1
-for real (no freshman's dream); q = phi(pi)/pi reduces to pi^(p-1) mod p, and
+for real (no freshman's dream), substituted by a p-adic Taylor expansion around
+the mod-p Frobenius pi -> pi^p; q = phi(pi)/pi reduces to pi^(p-1) mod p, and
 the Gamma-unit Lambda_gamma is the convergent product prod_j phi^(jf)(w/phi(w))
 with w = gamma(pi)/pi, cut when a factor reaches 1 at working precision.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import Field, ResidueRing
 from .series import INF, LaurentSeries, PrecisionError
@@ -64,25 +64,22 @@ class PadicRing(ResidueRing):
 
 
 class PadicContext:
-    """The integral side over one (field, depth, window), with the caches its Wach
-    modules share: substitution matrices by exponent, and per generator the
-    Gamma-units of every g-table."""
+    """The integral side over one (field, depth, window), with the cache its Wach
+    modules share: per generator, the Gamma-units of every g-table."""
 
     def __init__(self, ctx: Context, depth=None, pi_order=None):
         self.ctx = ctx
         self.ring = PadicRing(ctx.field, ctx.padic_depth if depth is None else depth)
         self.M = int(ctx.M if pi_order is None else pi_order)
         self.p, self.f, self.m = ctx.p, ctx.f, ctx.m
-        # int64 kernels sum up to `terms` products of two residues < p^N: ``substitute`` and
-        # ``_subst_matrix`` over the M rows of a column, the reduction of ``mul_rows`` and
-        # ``mul_matrix`` over the 2m - 1 rows of the reduction table
-        terms = max(self.M, 2 * self.m - 1)
+        # the int64 kernels sum at most 2m - 1 products of two residues < p^N: the
+        # reduction of ``mul_rows`` and ``mul_matrix`` over the rows of the reduction table
+        terms = 2 * self.m - 1
         if terms * (self.ring.N - 1) ** 2 > np.iinfo(np.int64).max:
             raise ValueError(
-                "p-adic depth %d overflows int64 at p = %d, pi_order %d: need %d (p^depth - 1)^2 < 2^63"
-                % (self.ring.depth, self.p, self.M, terms)
+                "p-adic depth %d overflows int64 at p = %d, m = %d: need %d (p^depth - 1)^2 < 2^63"
+                % (self.ring.depth, self.p, self.m, terms)
             )
-        self._subst = {}  # a -> _subst_matrix(a)
         self._units = {}  # chi(gamma) -> GammaUnits
 
     def pi(self, n=1, order=INF):
@@ -97,62 +94,57 @@ class PadicContext:
             c = c * (a - j) // (j + 1)
         return LaurentSeries(self.ring, 0, order, coeffs)
 
-    def _subst_matrix(self, a: int) -> np.ndarray:
-        """matT[e, n] = coefficient of pi^e in w^n, w = (1+pi)^a - 1, n, e in [0, M),
-        in the smallest unsigned dtype that holds p^N - 1.  Column n is column n-1
-        times w: its copies shifted by the exponents j of the terms of w, weighted
-        by w_j.  It vanishes above row n, as w has valuation 1."""
-        if a not in self._subst:
-            S, pN = self.M, self.ring.N
-            w = self.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
-            J = np.flatnonzero(w[1:]) + 1
-            matT = np.zeros((S, S), dtype=np.min_scalar_type(pN - 1))
-            matT[0, 0] = 1
-            buf = np.zeros(3 * S, dtype=np.int64)  # column n-1 on [S, 2S), zeros around it
-            buf[S] = 1
-            shifted = sliding_window_view(buf, S)  # row S + n - j: column n-1 moved down by j, from row n
-            for n in range(1, S):
-                col = w[J] @ shifted[S + n - J, : S - n] % pN
-                buf[S + n - 1] = 0
-                buf[S + n : 2 * S] = col
-                matT[n:, n] = col
-            self._subst[a] = matT
-        return self._subst[a]
-
     def substitute(self, s: LaurentSeries, a: int) -> LaurentSeries:
-        """s(pi) -> s((1+pi)^a - 1); requires floor >= 0."""
-        if s.is_zero():
-            return LaurentSeries.zero(self.ring, min(s.order, self.M))
+        """s(pi) -> s((1+pi)^a - 1) for a = p^k, k >= 1; requires floor >= 0.
+
+        With (1+pi)^a - 1 = pi^a + h, p | h, this is sum_j (D^j s)(pi^a) h^j over j < N,
+        D^j s = sum_n C(n, j) s_n pi^(n-j) the Hasse derivative, summed by Horner.  h^j
+        has valuation >= j, so the terms j >= order vanish below the window (and D^j s
+        is not known there)."""
+        order = int(min(s.order, self.M))
+        if s.low >= order:
+            return LaurentSeries.zero(self.ring, order)
         if s.low < 0:
             raise ValueError("integral substitution needs floor >= 0")
-        order = int(min(s.order, self.M))
-        matT = self._subst_matrix(a)
-        lo = s.floor
-        top = max(lo, min(order, lo + len(s.rows)))
-        head = s.coeff_rows(lo, top)
-        out = np.zeros((order, self.m), dtype=np.int64)
-        for e in range(lo, order, 64):  # int64 blocks of 64 rows; row e needs the terms n <= e
-            hi = min(e + 64, order)
-            n = min(hi, top)
-            out[e:hi] = matT[e:hi, lo:n].astype(np.int64) @ head[: n - lo]
-        return LaurentSeries(self.ring, 0, order, out)
+        pN, terms = self.ring.N, min(self.ring.depth, order)
+        top = min(order, -(-order // a) + terms)  # row n - j of D^j s lands at a(n - j) < order
+        head = s.coeff_rows(0, top)
+        n = min(a, order)
+        h = LaurentSeries(self.ring, 1, order, self.one_plus_pi_pow_int(a, n).coeff_rows(1, n))
+        binom = np.ones(top, dtype=np.int64)  # C(n, j) = sum_{k < n} C(k, j - 1) mod p^N
+        hasse = []
+        for j in range(terms):
+            if j:
+                binom[1:] = np.cumsum(binom[:-1]) % pN
+                binom[0] = 0
+            hasse.append(LaurentSeries(self.ring, 0, top - j, head[j:] * binom[j:, None]).substitute_power(a, order))
+        out = hasse.pop()
+        while hasse:
+            out = out * h + hasse.pop()
+        return out.truncate(order)
 
     def phi(self, s: LaurentSeries, k: int = 1) -> LaurentSeries:
         """phi^k: substitution by (1+pi)^(p^k) - 1."""
         return self.substitute(s, self.p**k)
 
-    def gamma(self, s: LaurentSeries, gamma: GammaElement) -> LaurentSeries:
-        return self.substitute(s, gamma.chi_int)
-
     def q_series(self, order=None) -> LaurentSeries:
         order = self.M if order is None else int(order)
-        num = self.one_plus_pi_pow_int(self.p, order + 1) - LaurentSeries.one(self.ring, order + 1)
-        return num.shift(-1)
+        return self.shifted_pow(self.p, order)
+
+    def shifted_pow(self, a: int, order: int) -> LaurentSeries:
+        """((1+pi)^a - 1)/pi mod pi^order."""
+        return (self.one_plus_pi_pow_int(a, order + 1) - LaurentSeries.one(self.ring, order + 1)).shift(-1)
 
     def q_over_gamma_q(self, gamma: GammaElement, order: int) -> LaurentSeries:
         """q/gamma(q) = w/phi(w) with w = gamma(pi)/pi."""
-        w = (self.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(self.ring, order + 1)).shift(-1)
+        w = self.shifted_pow(gamma.chi_int, order)
         return (w * self.phi(w).inv_unit(order)).truncate(order)
+
+    def gamma_q(self, gamma: GammaElement, order: int) -> LaurentSeries:
+        """gamma(q) = ((1+pi)^(p chi) - 1)/((1+pi)^chi - 1), a quotient by a unit once both
+        are divided by pi."""
+        num = self.shifted_pow(self.p * gamma.chi_int, order)
+        return (num * self.shifted_pow(gamma.chi_int, order).inv_unit(order)).truncate(order)
 
     def units(self, gamma: GammaElement) -> "GammaUnits":
         if gamma.chi_int not in self._units:
@@ -194,7 +186,7 @@ class GammaUnits:
         q = pctx.q_series(self.order)
         pi_p1 = LaurentSeries.monomial(pctx.ctx.field, pctx.p - 1)
         self.q_reduces = q.reduce_mod_p(pctx.ctx.field).agrees_with(pi_p1, pctx.p - 1, self.order - 1)
-        self.bases = {0: lam, "q": q, "gq": pctx.gamma(q, gamma), "ratio": pctx.q_over_gamma_q(gamma, self.order)}
+        self.bases = {0: lam, "q": q, "gq": pctx.gamma_q(gamma, self.order), "ratio": pctx.q_over_gamma_q(gamma, self.order)}
         for k in range(1, pctx.f):
             self.bases[k] = pctx.phi(self.bases[k - 1])
         self.powers = {}
@@ -434,8 +426,8 @@ def example71(pctx: PadicContext) -> tuple:
     G = {}
     ctx = pctx.ctx
     for name, gamma in ctx.generators():
-        w = (pctx.one_plus_pi_pow_int(gamma.chi_int, order + 1) - LaurentSeries.one(ring, order + 1)).shift(-1)
-        u = w.truncate(order).scale(ring.unit_inv_scalar(ring.row(gamma.chi_int))).pow(p - 1, order)
+        u = pctx.shifted_pow(gamma.chi_int, order).scale(ring.unit_inv_scalar(ring.row(gamma.chi_int)))
+        u = u.pow(p - 1, order)
         low = LaurentSeries.const(ring, (1 - gamma.chi_int ** (p - 1)) // p, order)
         entry = (u * low).shift(p - 1).truncate(order)
         G[name] = [[[u], [zero]], [[entry], [one]]]

@@ -294,6 +294,21 @@ def _ref_solve_phi_minus_one(ctx, C, sigma, h):
     return -acc
 
 
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_solve_phi_minus_one_matches_neumann_reference(p, f, rng):
+    """Sigma > 0: the phi-transport solve equals the Neumann series in floor, order and rows."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    for _ in range(10):
+        C = F.random_element(rng, nonzero=True)
+        sigma = rng.randrange(1, p**f)
+        floor = rng.randrange(0, 2 * p**f)
+        order = rng.choice([INF, ctx.M, rng.randrange(1, ctx.M)])
+        h = LaurentSeries.from_pairs(F, {e: F.random_element(rng) for e in range(floor, floor + rng.randrange(1, 40))}, order)
+        got, want = solve_phi_minus_one(ctx, C, sigma, h), _ref_solve_phi_minus_one(ctx, C, sigma, h)
+        assert (got.floor, got.order) == (want.floor, want.order) and np.array_equal(got.rows, want.rows)
+
+
 def _ref_mu_gamma_from_H(module, i, H, gamma):
     ctx = module.ctx
     p, f = ctx.p, ctx.f

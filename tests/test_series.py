@@ -161,10 +161,7 @@ def test_padic_integer():
 
     u = PadicInteger(3, 4, 5)
     assert u.digits() == [1, 1, 0, 0, 0]
-    assert u.is_unit()
     assert PadicInteger(3, -1, 4).digits() == [2, 2, 2, 2]
-    v = PadicInteger.from_digits(3, [1, 1])
-    assert v.value == 4
 
 
 def test_one_plus_pi_pow_insufficient_digits():

@@ -11,6 +11,7 @@ functionals of one cocycle at a time, the gamma residuals as whole series; and
 crossing band of ``residual_system`` replaced.
 """
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,12 +117,31 @@ def ref_unit_step(ctx, C, h, order, q):
     return LaurentSeries(field, 0, order, out)
 
 
+def ref_system_data(sys_):
+    """What the reference reads of a bounded system besides its thresholds, derived from
+    its module: the factors C_i, the shifts (p-1)c_i, the lowest phi and generator rows,
+    and whether the fixed cycle is transported with prod C = 1 (a cycle slot)."""
+    module, ctx = sys_.module, sys_.ctx
+    one = ctx.field.one()
+    shifts = [(ctx.p - 1) * ci for ci in module.c]
+    estar = module.fixed_cycle()
+    transported = estar is not None and all(e < t for e, t in zip(estar, sys_.theta_phi))
+    return SimpleNamespace(
+        Ci=[module.C if i == 0 else one for i in range(ctx.f)],
+        shifts=shifts,
+        phi_lo=ctx.p * sys_.Lb - max(shifts) - 1,
+        gen_lo=sys_.Lb,
+        has_cycle_slot=transported and module.C == one,
+    )
+
+
 def ref_bounded_values(sys_, ephi_coeff, param_vec):
     """b_i[e] of a bounded system by chain walks: parameters at e >= theta_phi_i,
     zero at e >= Ub_i; returns (bval, cycle violation)."""
     ctx = sys_.ctx
     field = ctx.field
     f, p = ctx.f, ctx.p
+    d = ref_system_data(sys_)
     memo = {}
     violation = field.zero()
     estar = sys_.module.fixed_cycle()
@@ -131,14 +151,14 @@ def ref_bounded_values(sys_, ephi_coeff, param_vec):
         acc, pref = field.zero(), one
         for i in range(f):
             acc = acc + pref * hvals[i]
-            pref = pref * sys_.Ci[i]
+            pref = pref * d.Ci[i]
         if sys_.module.C == one:
             violation, u0 = acc, field.zero()
         else:
             u0 = acc / (sys_.module.C - one)
         u = [u0]
         for i in range(f - 1):
-            u.append((u[i] + hvals[i]) / sys_.Ci[i])
+            u.append((u[i] + hvals[i]) / d.Ci[i])
         for i in range(f):
             memo[(i, estar[i])] = u[i]
 
@@ -157,7 +177,7 @@ def ref_bounded_values(sys_, ephi_coeff, param_vec):
                 memo[(i2, e2)] = param_vec.get((i2, e2), field.zero()) if e2 < sys_.Ub[i2] else field.zero()
                 stack.pop()
                 continue
-            src_num = e2 - sys_.shifts[i2]
+            src_num = e2 - d.shifts[i2]
             nxt = (i2 + 1) % f
             if src_num % p != 0:
                 memo[(i2, e2)] = ephi_coeff(i2, e2)
@@ -168,10 +188,10 @@ def ref_bounded_values(sys_, ephi_coeff, param_vec):
                 memo[(i2, e2)] = ephi_coeff(i2, e2)
                 stack.pop()
             elif src >= sys_.theta_phi[nxt]:
-                memo[(i2, e2)] = ephi_coeff(i2, e2) + sys_.Ci[i2] * param_vec.get((nxt, src), field.zero())
+                memo[(i2, e2)] = ephi_coeff(i2, e2) + d.Ci[i2] * param_vec.get((nxt, src), field.zero())
                 stack.pop()
             elif (nxt, src) in memo:
-                memo[(i2, e2)] = ephi_coeff(i2, e2) + sys_.Ci[i2] * memo[(nxt, src)]
+                memo[(i2, e2)] = ephi_coeff(i2, e2) + d.Ci[i2] * memo[(nxt, src)]
                 stack.pop()
             else:
                 stack.append((nxt, src))
@@ -196,6 +216,7 @@ def ref_bounded_column(sys_, E=None, param_index=None):
         def ephi_coeff(i, e):
             return field.zero()
 
+    d = ref_system_data(sys_)
     pv = {} if param_index is None else {sys_.params[param_index]: field.one()}
     bval, violation = ref_bounded_values(sys_, ephi_coeff, pv)
     lo = sys_.Lb
@@ -210,11 +231,11 @@ def ref_bounded_column(sys_, E=None, param_index=None):
         bseries.append(LaurentSeries(field, lo, ctx.M, rows))
     pieces = []
     for i in range(f):
-        term = bseries[(i + 1) % f].substitute_power(p).shift(sys_.shifts[i]).scale(sys_.Ci[i]) - bseries[i]
+        term = bseries[(i + 1) % f].substitute_power(p).shift(d.shifts[i]).scale(d.Ci[i]) - bseries[i]
         if E is not None:
             term = term + ephi[i]
-        pieces.append(sys_.G.encode_rows(term.coeff_rows(sys_.phi_lo, sys_.theta_phi[i])))
-    if sys_.has_cycle_slot:
+        pieces.append(sys_.G.encode_rows(term.coeff_rows(d.phi_lo, sys_.theta_phi[i])))
+    if d.has_cycle_slot:
         pieces.append(np.array([violation.index()], dtype=np.int64))
     for name in sys_.gen_names:
         gamma = ctx.eta if name == "eta" else ctx.xi
@@ -223,7 +244,7 @@ def ref_bounded_column(sys_, E=None, param_index=None):
             img = ref_op_lambda_gamma(ctx, gamma, sys_.module.sigma(i), bseries[i], out_order=theta)
             if E is not None:
                 img = img + (E.mu_xi() if name == "xi" else E.mu_gen[name]).comps[i]
-            pieces.append(sys_.G.encode_rows(img.coeff_rows(sys_.gen_lo, theta)))
+            pieces.append(sys_.G.encode_rows(img.coeff_rows(d.gen_lo, theta)))
     return np.concatenate(pieces)
 
 
@@ -410,12 +431,13 @@ def test_bounded_transport_with_random_parameters(p, f):
             h[i, : max(sys_.theta_phi[i] - lo, 0), :, 0] = -E.mu_phi[i].coeff_rows(lo, sys_.theta_phi[i])
         for (i, e), v in values.items():
             h[i, e - lo, :, 0] = -v.row()
-        b, obstruction = phi_transport(F, p, sys_.shifts, sys_.Ci, lo, hi, h % p, free=sys_.theta_phi)
+        d = ref_system_data(sys_)
+        b, obstruction = phi_transport(F, p, d.shifts, d.Ci, lo, hi, h % p, free=sys_.theta_phi)
         bval, violation = ref_bounded_values(sys_, lambda i, e: E.mu_phi[i].coeff(e), values)
         for i in range(f):
             for e in range(sys_.Lb, sys_.Ub[i]):
                 assert F.from_row(b[i, e - lo, :, 0]) == bval(i, e), (M, prof, i, e)
-        if sys_.has_cycle_slot:
+        if d.has_cycle_slot:
             assert F.from_row(obstruction[:, 0]) == violation
 
 
@@ -423,7 +445,7 @@ def assert_run_matches_reference(M, prof):
     sys_ = BoundedSystem(M, prof)
     basis = basis_for(M).elements
     cols = [ref_bounded_column(sys_, E=B) for B in basis]
-    cols += [ref_bounded_column(sys_, param_index=j) for j in range(sys_.n_params())]
+    cols += [ref_bounded_column(sys_, param_index=j) for j in range(len(sys_.params))]
     assert np.array_equal(sys_.run(basis), np.stack(cols, axis=1)), (M, prof)
     return sys_
 
@@ -431,7 +453,7 @@ def assert_run_matches_reference(M, prof):
 @pytest.mark.parametrize("p,f", GRID)
 def test_bounded_run_matches_columnwise_reference(p, f):
     rng = random.Random(4000 * p + f)
-    slots = sum(assert_run_matches_reference(M, prof).has_cycle_slot for M, prof in system_cases(ctx_for(p, f), rng))
+    slots = sum(ref_system_data(assert_run_matches_reference(M, prof)).has_cycle_slot for M, prof in system_cases(ctx_for(p, f), rng))
     assert slots  # a kernel module whose fixed cycle is transported
 
 

@@ -83,7 +83,7 @@ def test_wach_chain_identity():
     pctx = pctx_for(3, 2)
     N = build_wach_rank1(pctx, 1, (1, 2))
     q = pctx.q_series(pctx.M)
-    gq = pctx.gamma(q, pctx.ctx.eta)
+    gq = pctx.gamma_q(pctx.ctx.eta, pctx.M)
     lhs = gq.pow(2, pctx.M) * N.g_table["eta"][1]
     rhs = q.pow(2, pctx.M) * pctx.phi(N.g_table["eta"][0])
     assert lhs.agrees_with(rhs, None, pctx.M - 9)
@@ -165,22 +165,25 @@ def test_sigma_congruence_on_nonexact():
 
 
 class DenseSubst:
-    """Reference substitution s(pi) -> s((1+pi)^a - 1): the dense M x M int64 matrix
-    mat[n, e] = coefficient of pi^e in w^n, built with M full-length np.convolve calls."""
+    """Reference substitution s(pi) -> s((1+pi)^a - 1), for any integer a: the dense M x M
+    matrix mat[n, e] = coefficient of pi^e in w^n, built with M full-length np.convolve
+    calls.  Its sums run over M products of residues, so past the int64 range they run
+    in Python ints."""
 
     def __init__(self, pctx):
         self.pctx = pctx
         self.mats = {}
+        self.dtype = np.int64 if pctx.M * (pctx.ring.N - 1) ** 2 < 2**63 else object
 
     def matrix(self, a):
         if a not in self.mats:
             pctx = self.pctx
             S, pN = pctx.M, pctx.ring.N
-            wrow = pctx.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0]
+            wrow = pctx.one_plus_pi_pow_int(a, S).coeff_rows(0, S)[:, 0].astype(self.dtype)
             wrow[0] = (wrow[0] - 1) % pN
-            mat = np.zeros((S, S), dtype=np.int64)
+            mat = np.zeros((S, S), dtype=self.dtype)
             mat[0, 0] = 1
-            cur = np.zeros(S, dtype=np.int64)
+            cur = np.zeros(S, dtype=self.dtype)
             cur[0] = 1
             for n in range(1, S):
                 cur = np.convolve(cur, wrow)[:S] % pN
@@ -193,9 +196,9 @@ class DenseSubst:
         if s.is_zero():
             return LaurentSeries.zero(pctx.ring, min(s.order, pctx.M))
         order = int(min(s.order, pctx.M))
-        head = s.coeff_rows(0, min(order, s.floor + len(s.rows)))
+        head = s.coeff_rows(0, min(order, s.floor + len(s.rows))).astype(self.dtype)
         out = self.matrix(a)[: head.shape[0], :order].T @ head % pctx.ring.N
-        return LaurentSeries(pctx.ring, 0, order, out)
+        return LaurentSeries(pctx.ring, 0, order, out.astype(np.int64))
 
     def phi(self, s, k=1):
         return self.substitute(s, self.pctx.p**k)
@@ -283,22 +286,58 @@ def test_gamma_table_matches_per_lift_reference(p, f):
                     assert_same_series(mine, theirs)
 
 
-@pytest.mark.parametrize("p,f", [(2, 2), (3, 2), (5, 2), (7, 1)])
-def test_sparse_compact_substitution_matches_dense(p, f, rng):
-    """The sparse-built, compact transposed matrix and the blocked substitute agree
-    with the dense np.convolve build; p^N = 343 at p = 7 needs uint16."""
-    pctx = pctx_for(p, f)
+# the deepest p-adic depth that (2m - 1)(p^depth - 1)^2 < 2^63 admits, at m = f
+DEEPEST = {
+    (2, 1): 31,
+    (2, 2): 30,
+    (2, 3): 30,
+    (3, 1): 19,
+    (3, 2): 19,
+    (3, 3): 19,
+    (5, 1): 13,
+    (5, 2): 13,
+    (5, 3): 13,
+    (7, 1): 11,
+    (7, 2): 10,
+}
+
+
+@pytest.mark.parametrize("p,f", list(DEEPEST))
+def test_depth_bound_admits_the_deepest_int64_depth(p, f):
+    PadicContext(ctx_for(p, f), depth=DEEPEST[p, f])
+    with pytest.raises(ValueError, match="overflows int64"):
+        PadicContext(ctx_for(p, f), depth=DEEPEST[p, f] + 1)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_taylor_substitution_matches_dense(p, f, rng):
+    """phi^k by the Taylor expansion around pi -> pi^(p^k) equals the dense substitution
+    for every k <= f, at depths 1, 3 and the deepest, on series with floors at and above
+    0 and orders from below the depth (where D^j s is unknown for j >= order) up to INF."""
+    for depth in (1, 3, DEEPEST[p, f]):
+        pctx = pctx_for(p, f, depth=depth)
+        ref = DenseSubst(pctx)
+        pN, M = pctx.ring.N, pctx.M
+        for k in range(1, f + 1):
+            for _ in range(6):
+                floor = rng.choice([0, 1, rng.randrange(M + 5)])
+                order = rng.choice([INF, M, rng.randrange(1, 2 * M), rng.randrange(1, depth + 2), floor, max(floor - 2, 1)])
+                rows = np.array([[rng.randrange(pN) for _ in range(pctx.m)] for _ in range(rng.randrange(1, M))])
+                s = LaurentSeries(pctx.ring, floor, order, rows)
+                assert_same_series(pctx.phi(s, k), ref.substitute(s, p**k))
+
+
+@pytest.mark.parametrize("p,f,chi_eta", [(2, 2, None), (3, 1, 5), (3, 2, None), (5, 2, None), (5, 1, 3), (7, 1, None)])
+def test_closed_form_gamma_q_matches_dense(p, f, chi_eta):
+    """gamma(q) = ((1+pi)^(p chi) - 1)/((1+pi)^chi - 1) equals the dense substitution of
+    q by gamma(pi) = (1+pi)^chi - 1, for each generator and a non-default chi_eta."""
+    ctx = ctx_for(p, f) if chi_eta is None else ctx_for(p, f, chi_eta=chi_eta)
+    assert chi_eta is None or ctx.eta.chi_int == chi_eta
+    pctx = PadicContext(ctx)
     ref = DenseSubst(pctx)
-    pN, M = pctx.ring.N, pctx.M
-    assert pctx._subst_matrix(p).dtype == (np.uint16 if pN > 256 else np.uint8)
-    for a in sorted({p, p**f, pctx.ctx.chi_eta, 1 + p}):
-        assert np.array_equal(pctx._subst_matrix(a).T, ref.matrix(a)), a
-        for _ in range(6):
-            floor = rng.choice([0, 1, rng.randrange(M + 5)])
-            order = rng.choice([INF, M, rng.randrange(1, 2 * M), floor + 3])
-            rows = np.array([[rng.randrange(pN) for _ in range(pctx.m)] for _ in range(rng.randrange(1, M))])
-            s = LaurentSeries(pctx.ring, floor, order, rows)
-            assert_same_series(pctx.substitute(s, a), ref.substitute(s, a))
+    q = pctx.q_series(pctx.M)
+    for _, gamma in ctx.generators():
+        assert_same_series(pctx.gamma_q(gamma, pctx.M), ref.substitute(q, gamma.chi_int))
 
 
 def test_corrupted_cached_ratio_fails_commutation(monkeypatch):
