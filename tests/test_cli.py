@@ -102,6 +102,8 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         (dict(GOOD, p=1000000, f=2, c=[1, 1]), "classify"),
         # the int64 kernels of the Wach side need (2m - 1) (p^depth - 1)^2 < 2^63
         ({"p": 3, "f": 1, "precision": {"padic_depth": 20}}, "wach reduce"),
+        # depth 19 at p = 3 passes at m <= 3 and overflows at m = 4, where 2m - 1 = 7
+        ({"p": 3, "f": 1, "m": 4, "precision": {"padic_depth": 19}}, "wach reduce"),
         ({"p": 5, "f": 1, "precision": {"padic_depth": 14}}, "wach example71"),
         # an index C lies in [0, p^m): 7 used to run C = 1, and 99 and -1 at (5, 2) the index 24
         (dict(GOOD, C=7), "classify"),
@@ -154,6 +156,7 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "m-not-multiple-of-f",
         "p-not-prime",
         "padic_depth=20-at-3-1",
+        "padic_depth=19-at-3-1",
         "padic_depth=14-at-5-1",
         "C=7-at-3-1",
         "C=99-at-5-2",
@@ -278,9 +281,10 @@ def test_wach_reduce_small():
     assert d["all_match"] is True
 
 
-@pytest.mark.parametrize("p,depth", [(3, 19), (5, 13)])
+@pytest.mark.parametrize("p,depth", [(3, 18), (3, 19), (5, 12), (5, 13)])
 def test_wach_reduce_at_the_deepest_int64_depth(p, depth, tmp_path, capsys):
-    """The deepest p-adic depth the int64 bound admits at f = 1 still reduces."""
+    """The deepest p-adic depth the int64 bound admits at f = 1 still reduces, and so
+    does the one below it, the deepest under the former bound max(M, 2m - 1)."""
     from phigamma import cli
 
     path = tmp_path / "cfg.json"
