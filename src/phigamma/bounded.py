@@ -97,7 +97,7 @@ def is_bounded_class(twisted: TwistedCocycle, strict_p2: bool = False) -> str:
         target, A = A[:, 0], A[:, 1:]
         if not A.shape[1]:
             return "yes" if not target.any() else "no"
-        mask = A.any(axis=1) | (target != 0)
+        mask = A.any(axis=(1, 2)) | target.any(axis=1)
         sol = sys_.G.solve(A[mask], target[mask])
         return "yes" if sol is not None else "no"
     except PrecisionError:
@@ -116,23 +116,13 @@ class SubspaceReport:
 
 
 def _vj_span(module: RankOneModule, prof: WeightProfile, strict_p2=False):
-    """Row space (over F, encoded) of V_J in basis coordinates."""
+    """Row space of V_J in basis coordinates: its reduced echelon basis as F_p digit
+    planes (dim, len(basis), m)."""
     basis = basis_for(module)
     sys_ = BoundedSystem(module, prof, strict_p2)
-    G = sys_.G
     A = sys_.run(basis.elements)
-    ncols = A.shape[1]
-    A = A[A.any(axis=1)]
-    if A.shape[0] == 0:
-        null = np.eye(ncols, dtype=np.int64)
-    else:
-        null = G.nullspace(A)
-    d = len(basis)
-    beta = null[:, :d]
-    beta = beta[beta.any(axis=1)]
-    if beta.shape[0] == 0:
-        return np.zeros((0, d), dtype=np.int64), basis
-    R, _ = G.rref(beta)
+    null = sys_.G.nullspace(A[A.any(axis=(1, 2))])
+    R, _ = sys_.G.rref(null[:, : len(basis)])
     return R, basis
 
 
@@ -142,7 +132,7 @@ def compute_VJ(module: RankOneModule, J, sign: str = None, strict_p2=False, stab
     profs = weight_profiles(module, J)
     prof = _pick_profile(profs, sign)
     span, basis = _vj_span(module, prof, strict_p2)
-    ext_basis = [basis.ext_class(tuple(ctx.field.from_index(int(v)) for v in row)) for row in span]
+    ext_basis = [basis.ext_class(tuple(ctx.field.from_row(v) for v in row)) for row in span]
     stable = True
     if stability:
         ctx2 = ctx.scaled(2)
@@ -195,25 +185,18 @@ def all_reports(module: RankOneModule, strict_p2=False, stability=True):
 def vj_table(module: RankOneModule, strict_p2=False, stability=True):
     """All (J, sign) reports plus the pairwise-coincidence matrix of singleton spaces."""
     reports = all_reports(module, strict_p2, stability)
-    ctx = module.ctx
-    G = gf(ctx.field)
-    f = ctx.f
-    coincidence = {}
-    singles = {}
+    G = gf(module.ctx.field)
+    shape = (-1, len(basis_for(module)), G.m)
+    singles = {}  # the coordinate rows of each singleton space, as digit planes
     for (J, sign), rep in reports.items():
         if len(J) == 1:
-            singles.setdefault(J[0], {})[sign] = rep
+            singles.setdefault(J[0], {})[sign] = np.array([[c.row() for c in e.coords] for e in rep.basis], dtype=np.int64).reshape(shape)
+    coincidence = {}
     for i in sorted(singles):
         for j in sorted(singles):
             if i >= j:
                 continue
             for sign in singles[i]:
-                if sign not in singles[j]:
-                    continue
-                a = singles[i][sign]
-                b = singles[j][sign]
-                d = len(basis_for(module))
-                ma = np.array([[c.index() for c in e.coords] for e in a.basis], dtype=np.int64).reshape(-1, d)
-                mb = np.array([[c.index() for c in e.coords] for e in b.basis], dtype=np.int64).reshape(-1, d)
-                coincidence[(i, j, sign)] = a.dim == b.dim and (a.dim == 0 or G.span_equal(ma, mb))
+                if sign in singles[j]:
+                    coincidence[(i, j, sign)] = G.span_equal(singles[i][sign], singles[j][sign])
     return reports, coincidence

@@ -21,7 +21,6 @@ from .tate import Context
 from .rankone import RankOneModule, fundamental_character_exponents, normal_form
 from .cocycle import PivotError, basis_for
 from .bounded import vj_table
-from .gflinalg import TABLE_LIMIT
 from .wach import PadicContext, WachRankTwo, build_wach_rank1, example71, reduce_mod_p, saturation_check, wach_gamma_table
 from .oracle import LEMMAS, sweep
 
@@ -175,8 +174,6 @@ def _J_name(J, f) -> str:
 def cmd_vj_table(args) -> int:
     cfg = load_config(args)
     ctx = build_context(cfg, args.precision_scale)
-    if ctx.field.q > TABLE_LIMIT:
-        raise ConfigError("vj-table needs q = p^m <= %d (got %d)" % (TABLE_LIMIT, ctx.field.q))
     module = parse_module(ctx, cfg)
     stability = bool(cfg.get("stability_rerun", True))
     reports, coincidence = vj_table(module, strict_p2=args.strict_p2, stability=stability)

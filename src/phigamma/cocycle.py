@@ -690,14 +690,13 @@ def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.nd
 
 
 def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None, columns=False) -> np.ndarray:
-    """The encoded residual matrix of 'E plus the coboundary of b vanishes below the
-    thresholds', built in one batched pass: one transport, the phi rows of the
-    crossing band gathered by index arrays, the generator rows through one batched
-    gamma action or, with ``columns`` (the coboundary systems, where b is nonzero on a
-    few rows), as products with cached operator columns.  The phi bands and the cycle
-    slot are one F_p digit array and each generator's image another, each encoded
-    once.  ``plan`` is the ``ResidualPlan`` of (module, floor, theta_phi, Ub), built
-    here when not given.
+    """The residual matrix of 'E plus the coboundary of b vanishes below the
+    thresholds', as F_p digit planes (rows, columns, m) in ``field.dtype``, built in one
+    batched pass: one transport, the phi rows of the crossing band gathered by index
+    arrays, the generator rows through one batched gamma action or, with ``columns``
+    (the coboundary systems, where b is nonzero on a few rows), as products with cached
+    operator columns.  ``plan`` is the ``ResidualPlan`` of (module, floor, theta_phi,
+    Ub), built here when not given.
 
     b lives on [floor, Ub_i).  Below theta_phi_i it is transported from -mu_phi(E); a
     parameter (i, n), n >= theta_phi_i, is free.  Rows: phi on [p floor - max_i
@@ -707,7 +706,7 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     cocycle E, one per parameter (a unit coefficient), and with ``kernel`` one for
     the kernel line of the phi-transport (b = pi^e* on the fixed cycle)."""
     ctx = module.ctx
-    field, G = ctx.field, gf(ctx.field)
+    field = ctx.field
     f, p, m = ctx.f, ctx.p, field.m
     plan = plan or ResidualPlan(module, floor, theta_phi, Ub)
     lo, hi, phi_lo = plan.lo, plan.hi, plan.phi_lo
@@ -749,8 +748,8 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     if plan.cycle_slot:
         index.append(starts[f : f + 1])
         blocks.append(obstruction[None])
-    out = np.zeros((starts[-1], B), dtype=np.int64)  # encoded
-    out[np.concatenate(index)] = G.encode_rows(np.concatenate(blocks))
+    out = np.zeros((starts[-1], B, m), dtype=field.dtype)
+    out[np.concatenate(index)] = np.concatenate(blocks).transpose(0, 2, 1) % p
     gamma_rows = functools.partial(_gamma_rows_from_columns, ctx) if columns else ctx.op_lambda_gamma_rows
     k = f + plan.cycle_slot
     for name, theta in theta_gen.items():
@@ -761,9 +760,9 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         for i in range(f):
             for j, c in enumerate(E):
                 img[: max(theta[i] - floor, 0), i, :, j] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
-        enc = G.encode_rows(img.transpose(0, 2, 1, 3))  # (top - floor, f, B)
+        img %= p
         for i in range(f):
-            out[starts[k] : starts[k + 1]] = enc[: starts[k + 1] - starts[k], i]
+            out[starts[k] : starts[k + 1]] = img[: starts[k + 1] - starts[k], i].transpose(0, 2, 1)
             k += 1
     return out
 
@@ -844,11 +843,11 @@ def is_coboundary(c: Cocycle, floor: int = None) -> CoboundaryResult:
         A = _coboundary_system(module, fl, hi, [c])
         t = None
         if A.shape[1] > 1:  # a kernel line: fit its parameter t on the rows that either column reaches
-            A = A[A.any(axis=1)]
+            A = A[A.any(axis=(1, 2))]
             sol = gf(ctx.field).solve(A[:, 1:], A[:, 0])
             if sol is None:
                 return CoboundaryResult("no", reason="residual outside the kernel line", checked_to=hi)
-            t = ctx.field.from_index(int(sol[0]))
+            t = ctx.field.from_row(sol[0])
         elif A.any():
             return CoboundaryResult("no", reason="nonzero residual functional", checked_to=hi)
         tr = PhiTransport(module, list(c.mu_phi.comps), t=t, lo=fl, hi=hi)
@@ -870,7 +869,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     if span is None:
         plan = ResidualPlan(module, key[0], [key[1]] * ctx.f)
         target, A = np.split(_coboundary_system(module, *key, [c, *basis.elements], plan=plan), [1], axis=1)
-        rows = A.any(axis=1)  # most rows vanish on every column
+        rows = A.any(axis=(1, 2))  # most rows vanish on every column
         span = basis._residual_cache[key] = SpanPlan(plan, rows, Factored(gf(ctx.field), A[rows]))
     else:
         target = _coboundary_system(module, *key, [c], kernel=False, plan=span.plan)
@@ -880,7 +879,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
     sol = span.columns.solve(target[span.rows])
     if sol is None:
         return None
-    return basis.ext_class(tuple(ctx.field.from_index(int(v)) for v in sol[: len(basis)]))
+    return basis.ext_class(tuple(ctx.field.from_row(v) for v in sol[: len(basis)]))
 
 
 def random_cocycle(module: RankOneModule, rng, depth=None) -> Cocycle:

@@ -1,5 +1,3 @@
-import numpy as np
-
 from phigamma import (
     RankOneModule,
     basis_for,
@@ -10,13 +8,8 @@ from phigamma import (
     vj_table,
     weight_profiles,
 )
-from phigamma.gflinalg import gf
 
 from conftest import ctx_for
-
-
-def coords_matrix(rep, d):
-    return np.array([[c.index() for c in e.coords] for e in rep.basis], dtype=np.int64).reshape(-1, d)
 
 
 def test_iota_identity_case(ctx52):

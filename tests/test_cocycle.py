@@ -380,10 +380,10 @@ def _two_call_span(c, basis):
     M = c.module
     key = _coboundary_window(M, [c, *basis.elements])
     A = _coboundary_system(M, *key, basis.elements)
-    rows = A.any(axis=1)
+    rows = A.any(axis=(1, 2))
     target = _coboundary_system(M, *key, [c], kernel=False)[:, 0]
     sol = None if target[~rows].any() else gf(M.ctx.field).solve(A[rows], target[rows])
-    coords = None if sol is None else tuple(M.ctx.field.from_index(int(v)) for v in sol[: len(basis)])
+    coords = None if sol is None else tuple(M.ctx.field.from_row(v) for v in sol[: len(basis)])
     return key, (rows, A[rows]), coords
 
 

@@ -242,9 +242,10 @@ def test_convolve_rows_matches_int_reference(N, ka, kb, da, db):
 
 @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in range(1, 10) if p**m <= 729])
 def test_gf_tables_match_the_broadcast_formula(p, m):
-    from phigamma.gflinalg import GF
+    """The addition and negation tables of the table-backed oracle of the F_q linear algebra."""
+    from gf_oracle import TableGF
 
-    gf = GF(make_field(FieldSpec(p, 1, m, default_modulus(p, m))))
+    gf = TableGF(make_field(FieldSpec(p, 1, m, default_modulus(p, m))))
     q, pows = p**m, p ** np.arange(m)
     digits = np.arange(q)[:, None] // pows % p
     assert gf.ADD.dtype == gf.NEG.dtype == np.int32

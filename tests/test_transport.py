@@ -24,12 +24,18 @@ from phigamma.gflinalg import Factored, gf
 from phigamma.tate import _solve_c_phi_minus_one, phi_transport, solve_phi_unit_tail
 
 from conftest import ctx_for, ref_op_lambda_gamma, sub_basis
+from gf_oracle import encode, oracle_gf
 
 # (5, 1) has profiles with theta_phi below the tail floor (the cyclotomic J = S, plus)
 GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2)]
 
 
 # -- the slow reference -------------------------------------------------------------------
+
+
+def planes(rows, p):
+    """Coefficient rows (n, m, ...) -> the digit planes (n, ..., m) of a residual system."""
+    return np.moveaxis(np.asarray(rows) % p, 1, -1)
 
 
 class RefPhiTransport:
@@ -234,9 +240,9 @@ def ref_bounded_column(sys_, E=None, param_index=None):
         term = bseries[(i + 1) % f].substitute_power(p).shift(d.shifts[i]).scale(d.Ci[i]) - bseries[i]
         if E is not None:
             term = term + ephi[i]
-        pieces.append(sys_.G.encode_rows(term.coeff_rows(d.phi_lo, sys_.theta_phi[i])))
+        pieces.append(term.coeff_rows(d.phi_lo, sys_.theta_phi[i]) % p)
     if d.has_cycle_slot:
-        pieces.append(np.array([violation.index()], dtype=np.int64))
+        pieces.append(violation.row()[None])
     for name in sys_.gen_names:
         gamma = ctx.eta if name == "eta" else ctx.xi
         for i in range(f):
@@ -244,7 +250,7 @@ def ref_bounded_column(sys_, E=None, param_index=None):
             img = ref_op_lambda_gamma(ctx, gamma, sys_.module.sigma(i), bseries[i], out_order=theta)
             if E is not None:
                 img = img + (E.mu_xi() if name == "xi" else E.mu_gen[name]).comps[i]
-            pieces.append(sys_.G.encode_rows(img.coeff_rows(d.gen_lo, theta)))
+            pieces.append(img.coeff_rows(d.gen_lo, theta) % p)
     return np.concatenate(pieces)
 
 
@@ -277,8 +283,8 @@ def ref_residual_data(module, layout, c, t_probe=False):
     else:
         tr = RefPhiTransport(module, list(c.mu_phi.comps))
     rows = [[tr.coeff(i, e).row() for e in range(band_lo, fl)] for i in range(f)]
-    cross = gf(F).encode_rows(np.array(rows, dtype=np.int64).reshape(-1, F.m))
-    cycle = tr.cycle_violation.index() if tr.has_kernel else None
+    cross = np.array(rows, dtype=np.int64).reshape(-1, F.m)
+    cycle = tr.cycle_violation.row() if tr.has_kernel else None
     b = ctx.tate([LaurentSeries(F, fl, res_hi, np.array([tr.coeff(i, e).row() for e in range(fl, res_hi)])) for i in range(f)])
     rhos = []
     for name, gamma in ctx.generators():
@@ -288,30 +294,31 @@ def ref_residual_data(module, layout, c, t_probe=False):
 
 
 def ref_residual_matrix(module, layout, datas):
-    """The residual vectors on their common reliable window, stacked as columns."""
-    G = gf(module.ctx.field)
+    """The residual vectors on their common reliable window, stacked as columns,
+    encoded for the table-backed oracle."""
+    p = module.ctx.p
     fl, _, res_hi = layout
     hi = min([res_hi] + [int(comp.order) for _, _, rhos in datas for rho in rhos for comp in rho.comps])
     if hi < 1 + max([1] + list(module.fixed_cycle() or ())):
         raise PrecisionError("residual window [%d, %d) too small to be conclusive" % (fl, hi))
     cols = []
     for cross, cycle, rhos in datas:
-        pieces = [cross] + ([np.array([cycle])] if cycle is not None else [])
-        pieces += [G.encode_rows(comp.coeff_rows(fl, hi)) for rho in rhos for comp in rho.comps]
-        cols.append(np.concatenate(pieces))
+        pieces = [cross] + ([cycle[None]] if cycle is not None else [])
+        pieces += [comp.coeff_rows(fl, hi) for rho in rhos for comp in rho.comps]
+        cols.append(encode(np.concatenate(pieces), p))
     return np.stack(cols, axis=1)
 
 
 def ref_is_coboundary(c, floor=None):
     module = c.module
-    G = gf(module.ctx.field)
+    G = oracle_gf(module.ctx.field)
     try:
         layout = ref_layout(module, [c], floor)
         data = ref_residual_data(module, layout, c)
         if data[1] is None:
             return "no" if ref_residual_matrix(module, layout, [data]).any() else "yes"
         A = ref_residual_matrix(module, layout, [data, ref_residual_data(module, layout, c, t_probe=True)])
-        sol = G.solve(A[:, 1:], G.NEG[A[:, 0]].astype(np.int64))
+        sol = G.solve(A[:, 1:], G.NEG[A[:, 0]])
         return "no" if sol is None else "yes"
     except PrecisionError:
         return "inconclusive"
@@ -325,7 +332,7 @@ def ref_span_decompose(c, elements):
     if datas[0][1] is not None:  # the module has a kernel line
         datas.append(ref_residual_data(module, layout, elements[0], t_probe=True))
     A = ref_residual_matrix(module, layout, datas + [ref_residual_data(module, layout, c)])
-    sol = gf(F).solve(A[:, :-1], A[:, -1])
+    sol = oracle_gf(F).solve(A[:, :-1], A[:, -1])
     return None if sol is None else tuple(F.from_index(int(v)) for v in sol[: len(elements)])
 
 
@@ -516,7 +523,7 @@ def ref_residual_system(module, floor, theta_phi, theta_gen, cocycles=(), Ub=Non
     """``residual_system`` with every phi row on [p floor - max_i (p-1)c_i - 1, theta_phi_i)
     filled, zero or not: the full build that the crossing band replaced."""
     ctx = module.ctx
-    field, G = ctx.field, gf(ctx.field)
+    field = ctx.field
     f, p, m = ctx.f, ctx.p, field.m
     Ub = theta_phi if Ub is None else Ub
     shifts = [(p - 1) * ci for ci in module.c]
@@ -550,9 +557,9 @@ def ref_residual_system(module, floor, theta_phi, theta_gen, cocycles=(), Ub=Non
         rows[own] -= b[i, e[own] - lo]
         for k, c in enumerate(E):
             rows[:, :, k] += c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i])
-        pieces.append(G.encode_rows(rows))
+        pieces.append(planes(rows, p))
     if cycle_slot:
-        pieces.append(G.encode_rows(obstruction[None]))
+        pieces.append(planes(obstruction[None], p))
     for name, theta in theta_gen.items():
         top = max(floor + 1, *theta)
         gamma = ctx.eta if name == "eta" else ctx.xi
@@ -562,7 +569,7 @@ def ref_residual_system(module, floor, theta_phi, theta_gen, cocycles=(), Ub=Non
             rows = img[: max(theta[i] - floor, 0), i]
             for k, c in enumerate(E):
                 rows[:, :, k] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
-            pieces.append(G.encode_rows(rows))
+            pieces.append(planes(rows, p))
     return np.concatenate(pieces)
 
 
@@ -664,20 +671,19 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
 # -- the stored span plan and the factored solve ------------------------------------------
 
 
-def factored_cases(G, rng):
-    """Random encoded matrices: full column rank, dependent columns, a zero column,
-    more columns than rows, and no rows."""
-    q = G.q
+def factored_cases(F, rng):
+    """Random matrices as digit planes: full column rank, dependent columns, a zero
+    column, more columns than rows, and no rows."""
     for rows, cols in [(7, 3), (12, 4), (3, 5), (1, 1)]:
-        A = np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        A = np.array([[F.from_index(rng.randrange(F.q)).row() for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
         yield A
         dep = A.copy()
-        c = rng.randrange(1, q)
-        dep[:, -1] = G.add(G.mul(np.full(rows, c), A[:, 0]), A[:, -2 if cols > 1 else 0])  # in the span of the others
+        c = F.from_index(rng.randrange(1, F.q))
+        dep[:, -1] = (A[:, 0] @ F.mul_matrix(c).T + A[:, -2 if cols > 1 else 0]) % F.p  # in the span of the others
         yield dep
         dep[:, 0] = 0
         yield dep
-    yield np.zeros((0, 3), dtype=np.int64)
+    yield np.zeros((0, 3, F.m), dtype=np.int64)
 
 
 @pytest.mark.parametrize("p,f", GRID)
@@ -685,9 +691,10 @@ def test_factored_solve_matches_gf_solve(p, f):
     """Coordinates or None exactly as GF.solve, on consistent targets (A x for a random
     x) and random ones, for random matrices and for the kernel-line span columns."""
     ctx = ctx_for(p, f)
-    G = gf(ctx.field)
+    F = ctx.field
+    G = gf(F)
     rng = random.Random(7000 * p + f)
-    mats = list(factored_cases(G, rng))
+    mats = list(factored_cases(F, rng))
     for M in modules(ctx, rng)[1:]:  # the fixed-cycle modules; those with C = 1 add the kernel column
         basis = ModuleBasis(M)
         span_decompose(basis.elements[0], basis)
@@ -697,11 +704,10 @@ def test_factored_solve_matches_gf_solve(p, f):
     for A in mats:
         fac = Factored(G, A)
         for _ in range(6):
-            x = np.array([rng.randrange(G.q) for _ in range(A.shape[1])], dtype=np.int64)
-            consistent = np.zeros(len(A), dtype=np.int64)
-            for j in range(A.shape[1]):
-                consistent = G.add(consistent, G.mul(A[:, j], np.full(len(A), x[j])))
-            for t in [consistent, np.array([rng.randrange(G.q) for _ in range(len(A))], dtype=np.int64)]:
+            x = [F.from_index(rng.randrange(F.q)) for _ in range(A.shape[1])]
+            consistent = sum((A[:, j] @ F.mul_matrix(xj).T for j, xj in enumerate(x)), np.zeros((len(A), F.m), dtype=np.int64)) % p
+            random_target = np.array([F.from_index(rng.randrange(F.q)).row() for _ in range(len(A))], dtype=np.int64).reshape(-1, F.m)
+            for t in [consistent, random_target]:
                 want, got = G.solve(A, t), fac.solve(t)
                 assert (want is None) == (got is None) and (want is None or np.array_equal(want, got)), A
                 outcomes.add(want is None)
