@@ -22,11 +22,12 @@ class GF:
 
     def __init__(self, field: Field):
         self.field = field
-        self.p, self.m, self.q = field.p, field.m, field.q
+        self.p, self.m = field.p, field.m
         self.X = np.stack([field.mul_matrix(row) for row in np.eye(self.m, dtype=np.int64)])  # x^k as m x m matrices
         self._inv = {}  # a pivot's digits -> the matrix of its inverse, for the pivots met
 
     def eye(self, n: int) -> np.ndarray:
+        """The n x n identity as digit planes."""
         out = np.zeros((n, n, self.m), dtype=np.int64)
         out[..., 0] = np.eye(n, dtype=np.int64)
         return out
