@@ -46,14 +46,14 @@ class PivotError(AssertionError):
 class Cocycle:
     """(mu_phi, mu at stored generators) for Ext^1(M_0, M_{C,c})."""
 
-    __slots__ = ("module", "mu_phi", "mu_gen", "label", "_mu_xi_cache")
+    __slots__ = ("module", "mu_phi", "mu_gen", "label", "_mu_xi_cache", "_mu_xi_order")
 
     def __init__(self, module: RankOneModule, mu_phi: TateElement, mu_gen: dict, label: str = ""):
         self.module = module
         self.mu_phi = mu_phi
         self.mu_gen = dict(mu_gen)
         self.label = label
-        self._mu_xi_cache = None
+        self._mu_xi_cache = self._mu_xi_order = None
 
     @property
     def ctx(self) -> Context:
@@ -62,33 +62,40 @@ class Cocycle:
     def mu_eta(self) -> TateElement:
         return self.mu_gen["eta"]
 
-    def mu_xi(self) -> TateElement:
-        """mu at xi = eta^(p-1) (stored for p = 2, derived by the chain rule else)."""
+    def mu_xi(self, order=INF) -> TateElement:
+        """mu at xi = eta^(p-1) (stored for p = 2, derived by the chain rule else), exact
+        below ``order``.  The derived value is kept with the order it was built to and
+        rebuilt only for a longer reader; a shorter one gets it uncut."""
         if "xi" in self.mu_gen:
             return self.mu_gen["xi"]
-        if self._mu_xi_cache is None:
-            self._mu_xi_cache = self.mu_at_eta_power(self.ctx.p - 1)
+        if self._mu_xi_cache is None or self._mu_xi_order < order:
+            self._mu_xi_cache, self._mu_xi_order = self.mu_at_eta_power(self.ctx.p - 1, order), order
         return self._mu_xi_cache
 
-    def mu_at_eta_power(self, k: int) -> TateElement:
-        """mu_{eta^k} by binary powering of the chain rule mu_{gamma gamma'} =
+    def mu_at_eta_power(self, k: int, order=INF) -> TateElement:
+        """mu_{eta^k} below ``order``, by binary powering of the chain rule mu_{gamma gamma'} =
         kappa_gamma gamma(mu_{gamma'}) + mu_gamma, low bit first: gamma runs through
         eta^(2^j), squared with gamma = gamma' and added into the result with gamma' the
-        sum so far.  kappa_(gamma^2) is built only when a later step reads it."""
+        sum so far.  kappa_(gamma^2) is built only when a later step reads it.  Every step
+        is lower-triangular, so mu_eta cut at ``order`` gives the rows of the full result
+        below it; kappa is read to order - (the lowest floor of mu_eta, at most 0), so that
+        a product with a pole keeps them."""
         ctx, module = self.ctx, self.module
         if k < 1:
             raise ValueError("need k >= 1")
-        gamma, mu, kappa, out = ctx.eta, self.mu_eta(), module.kappa_gamma(ctx.eta), None
+        gamma, mu, out = ctx.eta, self.mu_eta().truncate(order), None
+        reach = order - min(0, *(x.low for x in mu.comps))
+        kappa = module.kappa_gamma(gamma, reach)
         while True:
             if k & 1:
-                out = mu if out is None else kappa * ctx.gamma_act(gamma, out) + mu
+                out = mu if out is None else kappa * ctx.gamma_act(gamma, out, order) + mu
             k >>= 1
             if not k:
                 return out
-            mu = kappa * ctx.gamma_act(gamma, mu) + mu
+            mu = kappa * ctx.gamma_act(gamma, mu, order) + mu
             gamma = gamma * gamma
             if k > 1 or out is not None:
-                kappa = module.kappa_gamma(gamma)
+                kappa = module.kappa_gamma(gamma, reach)
 
     def generators(self):
         ctx = self.ctx
@@ -650,42 +657,49 @@ class ResidualPlan:
         return self.schedule.nbytes() + sum(e.nbytes for e in self.phi_rows)
 
 
-def _operator_columns(ctx: Context, gamma: GammaElement, sigma: int, floor: int, top: int, support) -> np.ndarray:
-    """Columns of (lambda_gamma^sigma gamma - 1) on [floor, top): the image of pi^e for
-    each exponent e in ``support``, one row each, in ``field.dtype``.  The columns of a
-    window are kept in ``_COLUMN_CACHE``, shared by every module with the same digits; a
-    missing one is ``op_lambda_gamma_rows`` on a unit vector, built in groups of at most
-    ``tate._WORK`` entries."""
-    key = (ctx.key, gamma.chi_int, sigma, floor, top)
-    cols = _COLUMN_CACHE.pop(key, {})
-    _COLUMN_CACHE[key] = cols
-    missing = [e for e in support if e not in cols]
-    if missing:
-        n = top - floor
+def _operator_columns(ctx: Context, gamma: GammaElement, sigmas, floor: int, top: int, supports) -> list:
+    """Columns of (lambda_gamma^sigma gamma - 1) on [floor, top): for each sigma in
+    ``sigmas``, the image of pi^e for each exponent e in its entry of ``supports``, one row
+    each, in ``field.dtype``.  The columns of a window are kept in ``_COLUMN_CACHE``, one
+    entry per sigma, shared by every module with the same digits.  The missing ones of
+    every sigma are built together: ``op_lambda_gamma_rows`` with one sigma per index of
+    axis 1, on unit vectors, in groups of at most ``tate._WORK`` entries per sigma."""
+    n = top - floor
+    cache, missing = {}, {}
+    for sigma, support in zip(sigmas, supports):
+        if sigma not in cache:
+            key = (ctx.key, gamma.chi_int, sigma, floor, top)
+            cache[sigma] = _COLUMN_CACHE[key] = _COLUMN_CACHE.pop(key, {})
+        missing.setdefault(sigma, {}).update((e, None) for e in support if e not in cache[sigma])
+    todo = {sigma: list(es) for sigma, es in missing.items() if es}
+    if todo:
         width = max(1, _WORK // n)
-        for j in range(0, len(missing), width):
-            group = missing[j : j + width]
-            x = np.zeros((n, len(group)), dtype=np.int64)
-            x[np.array(group) - floor, np.arange(len(group))] = 1
-            img = ctx.op_lambda_gamma_rows(gamma, sigma, x, floor, top)
-            cols.update(zip(group, img.T.astype(ctx.field.dtype)))
+        for j in range(0, max(map(len, todo.values())), width):
+            groups = [es[j : j + width] for es in todo.values()]
+            x = np.zeros((n, len(todo), max(map(len, groups))), dtype=np.int64)
+            for k, group in enumerate(groups):
+                x[np.array(group, dtype=np.int64) - floor, k, np.arange(len(group))] = 1
+            img = ctx.op_lambda_gamma_rows(gamma, list(todo), x, floor, top)
+            for k, (sigma, group) in enumerate(zip(todo, groups)):
+                cache[sigma].update(zip(group, img[:, k, : len(group)].T.astype(ctx.field.dtype)))
         _fit(_COLUMN_CACHE, lambda c: sum(v.nbytes for v in c.values()), _COLUMN_CACHE_BYTES)
-    return np.stack([cols[e] for e in support])
+    return [np.stack([cache[sigma][e] for e in support]) for sigma, support in zip(sigmas, supports)]
 
 
 def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.ndarray, floor: int, top: int) -> np.ndarray:
     """``ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, top)`` for x of shape
-    (top - floor, f, m, B), from cached operator columns (``_operator_columns``).  The
-    operator is F_p-linear and acts on each digit column alone, so component i's image is
-    its columns on S, the rows where x_i is nonzero, times those rows."""
+    (top - floor, f, m, B), from cached operator columns (``_operator_columns``, one call
+    for every component).  The operator is F_p-linear and acts on each digit column
+    alone, so component i's image is its columns on S_i, the rows where x_i is nonzero,
+    times those rows."""
     p, n = ctx.p, top - floor
+    xs = [x[:, i].reshape(n, -1) for i in range(len(sigmas))]
+    S = [np.flatnonzero(xi.any(axis=1)) for xi in xs]
+    live = [i for i in range(len(sigmas)) if S[i].size]
+    cols = _operator_columns(ctx, gamma, [sigmas[i] for i in live], floor, top, [(S[i] + floor).tolist() for i in live])
     out = np.zeros(x.shape, dtype=np.int64)
-    for i, sigma in enumerate(sigmas):
-        xi = x[:, i].reshape(n, -1)
-        S = np.flatnonzero(xi.any(axis=1))
-        if S.size:
-            cols = _operator_columns(ctx, gamma, sigma, floor, top, (S + floor).tolist())
-            out[:, i] = (cols.T @ xi[S] % p).reshape(n, *x.shape[2:])
+    for i, c in zip(live, cols):
+        out[:, i] = (c.T @ xs[i][S[i]] % p).reshape(n, *x.shape[2:])
     return out
 
 
@@ -757,9 +771,10 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         gamma = ctx.eta if name == "eta" else ctx.xi
         x = b[:, floor - lo : top - lo].transpose(1, 0, 2, 3)  # components on axis 1
         img = gamma_rows(gamma, sigmas, x, floor, top)
+        mus = [c.mu_xi(max(top, 1)) if name == "xi" else c.mu_gen[name] for c in E]  # a pole series needs its rows up to pi^0
         for i in range(f):
-            for j, c in enumerate(E):
-                img[: max(theta[i] - floor, 0), i, :, j] += (c.mu_xi() if name == "xi" else c.mu_gen[name]).comps[i].coeff_rows(floor, theta[i])
+            for j, mu in enumerate(mus):
+                img[: max(theta[i] - floor, 0), i, :, j] += mu.comps[i].coeff_rows(floor, theta[i])
         img %= p
         for i in range(f):
             out[starts[k] : starts[k + 1]] = img[: starts[k + 1] - starts[k], i].transpose(0, 2, 1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .field import FieldElement
+from .series import INF
 from .tate import Context, GammaElement, TateElement
 
 
@@ -86,9 +87,11 @@ class RankOneModule:
     def kappa_phi_coeff(self, i: int) -> FieldElement:
         return self.C if i % self.f == 0 else self.ctx.field.one()
 
-    def kappa_gamma(self, gamma: GammaElement) -> TateElement:
+    def kappa_gamma(self, gamma: GammaElement, order=INF) -> TateElement:
+        """(lambda_gamma^Sigma_l)_l below min(order, M); a component may reach further
+        (``Context.lambda_pow_below``)."""
         ctx = self.ctx
-        return ctx.tate([ctx.lambda_pow(gamma, self.sigma(l)) for l in range(self.f)])
+        return ctx.tate([ctx.lambda_pow_below(gamma, self.sigma(l), order) for l in range(self.f)])
 
     def __eq__(self, other):
         return isinstance(other, RankOneModule) and self.C == other.C and self.c == other.c

@@ -172,6 +172,15 @@ def _cache(key, build):
     return _REGISTRY[key]
 
 
+def _cache_below(key, order, build):
+    """The series kept under ``key`` when it reaches ``order``, else build(order), kept in
+    its place: the longest one built stays and serves every shorter reader uncut."""
+    have = _REGISTRY.get(key)
+    if have is None or have.order < order:
+        have = _REGISTRY[key] = build(order)
+    return have
+
+
 def _frobenius_product(base: LaurentSeries, q: int, digits, order: int) -> LaurentSeries:
     """prod_j base(pi^(q^j))^(digits[j]) below ``order``, by Horner from the top digit
     down: x -> x(pi^q) base^(digits[j]), so digit j reads base below ceil(order / q^j)."""
@@ -340,41 +349,46 @@ class Context:
         return TateElement(self, [x.comps[(i + 1) % self.f].substitute_power(self.p, order) for i in range(self.f)])
 
     # -- lambda units ----------------------------------------------------------------
-    def lambda_gamma(self, gamma: GammaElement) -> LaurentSeries:
+    def lambda_gamma(self, gamma: GammaElement, order=INF) -> LaurentSeries:
         """The unique (p^f-1)/(p-1)-th root lambda of u = gamma(pi)/(chibar(gamma) pi) in
-        1 + pi F_p[[pi]], in closed form.  u has F_p coefficients, so u(pi^p) = u^p and
+        1 + pi F_p[[pi]], in closed form, below min(order, M) (kept as in ``_cache_below``,
+        so it may reach further).  u has F_p coefficients, so u(pi^p) = u^p and
         w = u / u(pi^p) = u^(1-p); with q = p^f, lambda = prod_(k >= 0) w(pi^(q^k)) =
-        u^((1-p) / (1-q)), and w(pi^(q^k)) = 1 below pi^M once q^k >= M."""
+        u^((1-p) / (1-q)), and w(pi^(q^k)) = 1 below pi^n once q^k >= n."""
 
-        def build():
-            p, M = self.p, self.M
-            u = (one_plus_pi_pow(self.field, gamma.chi_int, M + 1) - 1).shift(-1).scale(self.chibar(gamma).inv())
-            w = u * u.truncate(-(-M // p)).inv_unit().substitute_power(p, M)  # u^-1 read below pi^(M/p)
+        def build(n):
+            p = self.p
+            u = (one_plus_pi_pow(self.field, gamma.chi_int, n + 1) - 1).shift(-1).scale(self.chibar(gamma).inv())
+            w = u * u.truncate(-(-n // p)).inv_unit().substitute_power(p, n)  # u^-1 read below pi^(n/p)
             q, terms = p**self.f, 1
-            while q**terms < M:
+            while q**terms < n:
                 terms += 1
-            return _frobenius_product(w, q, [1] * terms, M)
+            return _frobenius_product(w, q, [1] * terms, n)
 
-        return _cache((self.field.key, self.M, self.f, gamma.chi_int, "lambda"), build)
+        return _cache_below((self.field.key, self.M, self.f, gamma.chi_int, "lambda"), min(order, self.M), build)
 
     def lambda_pow(self, gamma: GammaElement, e: int) -> LaurentSeries:
-        """lambda_gamma^e = prod_j (lambda^(d_j))(pi^(p^j)) over the base-p digits d_j
-        of |e| (lambda has F_p coefficients), with lambda^-1 for e < 0, itself cached
-        as the power -1."""
+        """lambda_gamma^e on the whole window, below pi^M."""
+        return self.lambda_pow_below(gamma, e, self.M)
 
-        def build():
-            lam = self.lambda_gamma(gamma)
+    def lambda_pow_below(self, gamma: GammaElement, e: int, order) -> LaurentSeries:
+        """lambda_gamma^e below min(order, M) = prod_j (lambda^(d_j))(pi^(p^j)) over the
+        base-p digits d_j of |e| (lambda has F_p coefficients), with lambda^-1 for e < 0,
+        itself kept as the power -1.  Each factor reads its base only below the order, as
+        row n of a product depends on the rows of its factors at or below n; the longest
+        power built is kept and serves shorter readers (``_cache_below``)."""
+
+        def build(n):
             if e == -1:
-                return lam.inv_unit()
-            if e < 0:
-                lam = self.lambda_pow(gamma, -1)
-            digits, n = [], abs(e)
-            while n or not digits:
-                digits.append(n % self.p)
-                n //= self.p
-            return _frobenius_product(lam, self.p, digits, self.M)
+                return self.lambda_gamma(gamma, n).truncate(n).inv_unit()
+            lam = self.lambda_pow_below(gamma, -1, n) if e < 0 else self.lambda_gamma(gamma, n)
+            digits, k = [], abs(e)
+            while k or not digits:
+                digits.append(k % self.p)
+                k //= self.p
+            return _frobenius_product(lam, self.p, digits, n)
 
-        return _cache((self.field.key, self.M, self.f, gamma.chi_int, e, "lampow"), build)
+        return _cache_below((self.field.key, self.M, self.f, gamma.chi_int, e, "lampow"), min(order, self.M), build)
 
     def chibar(self, gamma: GammaElement) -> FieldElement:
         return self.field.coerce(gamma.chi_int)
@@ -392,7 +406,7 @@ class Context:
         n = order - floor
         img = self.gamma_act_rows(gamma, x, floor, order).reshape(n, np.size(sigma), -1)
         for i, s in enumerate(np.atleast_1d(sigma).tolist()):
-            lam = self.lambda_pow(gamma, s).coeff_rows(0, n)[:, :1]
+            lam = self.lambda_pow_below(gamma, s, n).coeff_rows(0, n)[:, :1]
             cols = np.flatnonzero(img[:, i].any(axis=0))  # the other columns stay zero
             img[:, i, cols] = convolve_rows(lam, img[:, i, cols], self.p)[:n]
         img = img.reshape(x.shape)

@@ -390,6 +390,30 @@ def test_cli_stdout_digest(cmd, p, f, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of V_J tables at the sizes where a system reads mu_xi and lambda^sigma
+# far below the window top, recorded before they were built only below the rows a system
+# reads; (5,2) C=2 c=[3,4] is pinned in CLI_DIGESTS
+VJ_TABLE_DIGESTS = {
+    (7, 3, 1, (6, 5, 5)): "ee00d07d44cc527f8a8b94beed9451e0640be227f7e325c4be77997a7ee09261",
+    (7, 3, 2, (1, 2, 3)): "8b462ec8f7782086563fab4db93375f501fc86e3f5b59269f7712316d09f49c3",
+    (5, 3, 2, (1, 2, 3)): "a402d150096a365725249504f4f3325649b8ef8f0f6300f8dab0fec3a89cb369",
+    (5, 3, 1, (4, 3, 3)): "a1d0e9fbd7057ea3555612a6aad355ec225baaa02b4f9e72ab35618a05e4c913",
+    (3, 3, 2, (2, 1, 1)): "eba4d393195029898a27163952075baf2ae917de808430cec04ed4d69ca3923a",
+}
+
+
+@pytest.mark.parametrize("p,f,C,c", list(VJ_TABLE_DIGESTS), ids=["%d-%d-C%d-c%s" % (p, f, C, "".join(map(str, c))) for p, f, C, c in VJ_TABLE_DIGESTS])
+def test_vj_table_stdout_digest(p, f, C, c, tmp_path, capsys):
+    import hashlib
+
+    from phigamma import cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": p, "f": f, "C": C, "c": list(c)}))
+    assert cli.main(["--config", str(path), "vj-table"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VJ_TABLE_DIGESTS[p, f, C, c]
+
+
 @pytest.mark.parametrize(
     "cmd,cfg",
     [

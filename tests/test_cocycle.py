@@ -21,6 +21,7 @@ from phigamma import (
     span_decompose,
     verify_cocycle,
 )
+from phigamma import bounded as bounded_mod
 from phigamma import cocycle as cocycle_mod
 from phigamma.cocycle import Cocycle, ModuleBasis, _coboundary_system, _coboundary_window
 from phigamma.gflinalg import gf
@@ -413,14 +414,15 @@ def test_cold_first_span_matches_two_call_reference(p, f, C, c):
 # -- mu at powers of eta by binary powering of the chain rule --------------------------
 
 
-def ref_mu_at_eta_power(c, k):
-    """mu_{eta^k} by k - 1 steps of the chain rule mu_{eta eta^j} = kappa_eta eta(mu_{eta^j}) + mu_eta."""
+def ref_mu_at_eta_power(c, k, order=INF):
+    """mu_{eta^k} by k - 1 steps of the chain rule mu_{eta eta^j} = kappa_eta eta(mu_{eta^j}) + mu_eta,
+    on the whole window, cut at ``order`` afterwards."""
     ctx = c.ctx
     mu = c.mu_eta()
     kappa = c.module.kappa_gamma(ctx.eta)
     for _ in range(k - 1):
         mu = kappa * ctx.gamma_act(ctx.eta, mu) + c.mu_eta()
-    return mu
+    return mu.truncate(order)
 
 
 def _power_cases(p, f):
@@ -447,6 +449,55 @@ def test_mu_at_eta_power_matches_step_loop(p, f):
         for k in range(1, 2 * p + 1):
             assert _same_tate(c.mu_at_eta_power(k), ref_mu_at_eta_power(c, k)), (c.label, k)
     assert {"B_nr", "B_tr"} <= labels
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_mu_at_eta_power_below_an_order_is_the_full_result_cut(p, f):
+    """mu at eta^k built below an order equals the whole-window result cut at that order
+    afterwards, in floor, order and rows, for k = 1 .. 2p: orders from 1 (the lowest a
+    V_J system asks for) up past M, on cocycles with poles (B_tr) and without."""
+    ctx = ctx_for(p, f)
+    for c in _power_cases(p, f):
+        for k in range(1, 2 * p + 1):
+            full = c.mu_at_eta_power(k)
+            for order in (1, 2, 7, ctx.M // 3, ctx.M + 1):
+                assert _same_tate(c.mu_at_eta_power(k, order), full.truncate(order)), (c.label, k, order)
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 1), (7, 1)])
+def test_mu_xi_keeps_the_longest_build(monkeypatch, p, f):
+    """A shorter read of mu_xi after a longer one returns the kept value uncut and builds
+    nothing; a longer read after a shorter one rebuilds to its order; each is exact."""
+    builds = []
+    power = Cocycle.mu_at_eta_power
+    monkeypatch.setattr(Cocycle, "mu_at_eta_power", lambda c, k, order=INF: builds.append(order) or power(c, k, order))
+    for x in _power_cases(p, f):
+        full = Cocycle(x.module, x.mu_phi, x.mu_gen, x.label).mu_xi()
+        c = Cocycle(x.module, x.mu_phi, x.mu_gen, x.label)
+        del builds[:]
+        short = c.mu_xi(5)
+        assert _same_tate(short, full.truncate(5)) and c.mu_xi(2) is short
+        long = c.mu_xi(40)
+        assert _same_tate(long, full.truncate(40)) and c.mu_xi(5) is long
+        assert _same_tate(c.mu_xi(), full) and c.mu_xi(ctx_for(p, f).M) is c.mu_xi()
+        assert builds == [5, 40, INF], (x.label, builds)
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
+def test_verify_cocycle_after_a_vj_cut_reads_the_whole_window(monkeypatch, p, f):
+    """A V_J table derives the mu_xi of the basis elements only below its thresholds;
+    verify_cocycle on those elements still reports the whole window, as on fresh copies."""
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE", {})  # a basis whose mu_xi is not derived yet
+    ctx = ctx_for(p, f)
+    rng = random.Random(7 * p + f)
+    for C, c in [(ctx.field.one(), (p - 2,) * f), (ctx.field.generator(), tuple(rng.randrange(p - 1) for _ in range(f)))]:
+        M = RankOneModule(ctx, C, c)
+        bounded_mod.vj_table(M, stability=False)
+        basis = basis_for(M)
+        assert all(B._mu_xi_order < ctx.M for B in basis.elements)
+        for B in basis.elements:
+            assert verify_cocycle(B) == verify_cocycle(Cocycle(M, B.mu_phi, B.mu_gen, B.label)), B.label
+            assert B._mu_xi_order == INF
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 1), (7, 1)])
@@ -481,7 +532,7 @@ def test_column_cache_is_bounded_by_bytes(monkeypatch):
     monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
 
     def columns(floor, support):
-        return cocycle_mod._operator_columns(ctx, ctx.eta, 2, floor, 20, support)
+        return cocycle_mod._operator_columns(ctx, ctx.eta, [2], floor, 20, [support])[0]
 
     def windows():
         return [key[3] for key in cocycle_mod._COLUMN_CACHE]

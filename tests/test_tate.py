@@ -6,6 +6,7 @@ import pytest
 
 from phigamma import Context, LaurentSeries, NonBijectiveError, PrecisionError, solve_phi_minus_one
 from phigamma.series import INF, nth_root_unit, one_plus_pi_pow
+from phigamma import tate as tate_mod
 from phigamma.tate import _POLE_STEPS
 
 from conftest import ctx_for, ref_op_lambda_gamma
@@ -141,6 +142,24 @@ def test_lambda_pow_digits_match_binary_power(p, f, m):
         lam = ctx.lambda_gamma(gamma)
         for s in range(-q, 2 * q + 1):
             assert ctx.lambda_pow(gamma, s) == lam.pow(s, ctx.M), (gamma, s)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_lambda_pow_below_an_order_is_the_power_cut(p, f, monkeypatch):
+    """lambda^sigma built below n on an empty cache equals the whole-window power cut at n,
+    in floor, order and rows, for sigma in [-q, 2q], eta and xi and n in 1, 7, M (n rising,
+    so each longer read rebuilds); a shorter read after that returns the kept build."""
+    ctx = ctx_for(p, f)
+    q = p**f
+    for gamma in (ctx.eta, ctx.xi):
+        full = {s: ctx.lambda_pow(gamma, s) for s in range(-q, 2 * q + 1)}
+        monkeypatch.setattr(tate_mod, "_REGISTRY", {})
+        for n in (1, 7, ctx.M):
+            for s in full:
+                lam = ctx.lambda_pow_below(gamma, s, n)
+                assert lam.order == n and lam == full[s].truncate(n), (gamma, s, n)
+        for s in full:
+            assert ctx.lambda_pow_below(gamma, s, 1) is ctx.lambda_pow(gamma, s) and ctx.lambda_pow(gamma, s) == full[s]
 
 
 def test_solver_examples(ctx31):

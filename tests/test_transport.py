@@ -668,6 +668,42 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
     assert cocycle_mod._COLUMN_CACHE
 
 
+@pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_missing_operator_columns_come_from_one_call(p, f, monkeypatch):
+    """The missing operator columns of every component are built by one
+    ``op_lambda_gamma_rows`` call with one sigma per index of axis 1 (a repeated sigma
+    once), counted with a wrapper, and equal the columns built one sigma at a time, the
+    images of unit vectors; the first span decomposition of a module on new digits makes
+    one call per generator."""
+    ctx = ctx_for(p, f)
+    rng = random.Random(2300 * p + f)
+    floor, top = -3 * p, 5 * p
+    sigmas = [rng.randrange(-p**f, 2 * p**f) for _ in range(f)] + [None]
+    sigmas[-1] = sigmas[0]
+    supports = [rng.sample(range(floor, top), rng.randrange(1, 6)) for _ in sigmas]
+    calls = []
+    op = type(ctx).op_lambda_gamma_rows
+    monkeypatch.setattr(type(ctx), "op_lambda_gamma_rows", lambda *args: calls.append(args) or op(*args))
+    for gamma in (ctx.eta, ctx.xi):
+        monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+        del calls[:]
+        got = cocycle_mod._operator_columns(ctx, gamma, sigmas, floor, top, supports)
+        assert len(calls) == 1 and len(cocycle_mod._COLUMN_CACHE) == len(set(sigmas))
+        for sigma, support, cols in zip(sigmas, supports, got):
+            x = np.zeros((top - floor, len(support)), dtype=np.int64)
+            x[np.array(support) - floor, np.arange(len(support))] = 1
+            assert np.array_equal(cols, op(ctx, gamma, sigma, x, floor, top).T), (gamma, sigma)
+            monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+            assert np.array_equal(cocycle_mod._operator_columns(ctx, gamma, [sigma], floor, top, [support])[0], cols)
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    for M in modules(ctx, rng)[:2]:
+        basis = ModuleBasis(M)  # built before counting: the elimination calls the operator too
+        x = basis.combination([ctx.field.random_element(rng) for _ in basis.elements]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
+        del calls[:]
+        assert span_decompose(x, basis) is not None
+        assert len(calls) == len(ctx.generators()), (M, len(calls))
+
+
 # -- the stored span plan and the factored solve ------------------------------------------
 
 
