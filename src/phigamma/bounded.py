@@ -7,7 +7,9 @@ Feasibility is a finite linear problem: coefficients of the correcting
 coboundary below the thresholds transport deterministically, and the few free
 block coefficients become unknowns of a small system over F.  The matrix of
 the system, one column per cocycle and per unknown, is
-``cocycle.residual_system`` at the twisted thresholds of the profile.
+``cocycle.residual_system`` at the twisted thresholds of the profile; its
+generator rows are products with the operator columns that the coboundary
+systems cache too, read on the rows where the correcting coboundary is nonzero.
 """
 from __future__ import annotations
 

@@ -10,17 +10,15 @@ cyclotomic modules) get their own constructions.
 
 One linear problem underlies the certificates: a cocycle plus a correcting
 coboundary must vanish below given thresholds.  ``residual_system`` builds its
-matrix for a batch of columns in one pass (one transport fill, one batched gamma
-action) on the ``ResidualPlan`` of its window: the window's transport schedule and
-the crossing band, the phi rows that the coboundary's cut at the floor can leave
-nonzero; every other phi row is solved exactly by the transport.  The coboundary
-test and the span decomposition in the basis solve it with every threshold at the
-window top; the V_J systems of ``bounded`` use the twisted thresholds.  A
-coboundary system's b is nonzero on a few rows only, so its generator rows are
-products with columns of the operator (lambda^sigma gamma - 1), each the image of
-one pi^e, which a byte-bounded cache keeps per digits and window for every module
-that shares them; a V_J system, with a parameter on every row above its
-thresholds, takes one batched gamma action.  A basis keeps one ``SpanPlan`` per
+matrix for a batch of columns in one pass (one transport fill) on the
+``ResidualPlan`` of its window: the window's transport schedule and the crossing
+band, the phi rows that the coboundary's cut at the floor can leave nonzero; every
+other phi row is solved exactly by the transport.  The coboundary test and the span
+decomposition in the basis solve it with every threshold at the window top; the V_J
+systems of ``bounded`` use the twisted thresholds.  b is nonzero on a few rows only,
+so the generator rows are products with columns of the operator (lambda^sigma gamma
+- 1), each the image of one pi^e, which a byte-bounded cache keeps per digits and
+floor for every module and window top that share them.  A basis keeps one ``SpanPlan`` per
 window, the residual plan with the basis columns factored, so that a later span
 decomposition builds and solves only its target column.  ``PhiTransport`` is a
 view of one transport solve and gives the coboundary test its witness.
@@ -280,6 +278,7 @@ def build_H(module: RankOneModule, i: int, collect_pivots=None) -> LaurentSeries
     r = _chain_length(module, i)
     if p == 2:
         return _build_H_p2(module, i, r)
+    ctx.lambda_pow_below(ctx.eta, module.sigma(i), ctx.M)  # to M, where _mu_gamma_from_H reads it next
     op = functools.partial(ctx.op_lambda_gamma_rows, ctx.eta, module.sigma(i))
     lo = 1 - p ** (r + 2)
     x, res = _image(op, lo, lo, 0)
@@ -537,7 +536,7 @@ class ModuleBasis:
 
 _BASIS_CACHE = {}  # most recently used last
 _BASIS_CACHE_BYTES = 3 << 20  # array bytes kept over all cached bases; the newest always stays
-_COLUMN_CACHE = {}  # (ctx.key, chi(gamma), sigma, floor, top) -> {e: column}, most recently used last
+_COLUMN_CACHE = {}  # (ctx.key, chi(gamma), sigma, floor) -> {e: column on [floor, its top)}, most recently used last
 _COLUMN_CACHE_BYTES = 1 << 20  # operator column bytes kept over all windows; the newest always stays
 
 
@@ -660,17 +659,19 @@ class ResidualPlan:
 def _operator_columns(ctx: Context, gamma: GammaElement, sigmas, floor: int, top: int, supports) -> list:
     """Columns of (lambda_gamma^sigma gamma - 1) on [floor, top): for each sigma in
     ``sigmas``, the image of pi^e for each exponent e in its entry of ``supports``, one row
-    each, in ``field.dtype``.  The columns of a window are kept in ``_COLUMN_CACHE``, one
-    entry per sigma, shared by every module with the same digits.  The missing ones of
-    every sigma are built together: ``op_lambda_gamma_rows`` with one sigma per index of
-    axis 1, on unit vectors, in groups of at most ``tate._WORK`` entries per sigma."""
+    each, in ``field.dtype``.  An image row depends only on the rows at or below it, so the
+    column on [floor, top) is the first top - floor rows of any longer one: the columns of a
+    floor are kept in ``_COLUMN_CACHE``, one entry per sigma, shared by every module with the
+    same digits, and one shorter than a reader is rebuilt at its top and replaces it.  The
+    missing ones of every sigma are built together: ``op_lambda_gamma_rows`` with one sigma
+    per index of axis 1, on unit vectors, in groups of at most ``tate._WORK`` entries per sigma."""
     n = top - floor
     cache, missing = {}, {}
     for sigma, support in zip(sigmas, supports):
         if sigma not in cache:
-            key = (ctx.key, gamma.chi_int, sigma, floor, top)
+            key = (ctx.key, gamma.chi_int, sigma, floor)
             cache[sigma] = _COLUMN_CACHE[key] = _COLUMN_CACHE.pop(key, {})
-        missing.setdefault(sigma, {}).update((e, None) for e in support if e not in cache[sigma])
+        missing.setdefault(sigma, {}).update((e, None) for e in support if len(cache[sigma].get(e, ())) < n)
     todo = {sigma: list(es) for sigma, es in missing.items() if es}
     if todo:
         width = max(1, _WORK // n)
@@ -683,7 +684,7 @@ def _operator_columns(ctx: Context, gamma: GammaElement, sigmas, floor: int, top
             for k, (sigma, group) in enumerate(zip(todo, groups)):
                 cache[sigma].update(zip(group, img[:, k, : len(group)].T.astype(ctx.field.dtype)))
         _fit(_COLUMN_CACHE, lambda c: sum(v.nbytes for v in c.values()), _COLUMN_CACHE_BYTES)
-    return [np.stack([cache[sigma][e] for e in support]) for sigma, support in zip(sigmas, supports)]
+    return [np.stack([cache[sigma][e][:n] for e in support]) for sigma, support in zip(sigmas, supports)]
 
 
 def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.ndarray, floor: int, top: int) -> np.ndarray:
@@ -692,25 +693,22 @@ def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.nd
     for every component).  The operator is F_p-linear and acts on each digit column
     alone, so component i's image is its columns on S_i, the rows where x_i is nonzero,
     times those rows."""
-    p, n = ctx.p, top - floor
-    xs = [x[:, i].reshape(n, -1) for i in range(len(sigmas))]
-    S = [np.flatnonzero(xi.any(axis=1)) for xi in xs]
+    S = [np.flatnonzero(x[:, i].any(axis=(1, 2))) for i in range(len(sigmas))]
     live = [i for i in range(len(sigmas)) if S[i].size]
     cols = _operator_columns(ctx, gamma, [sigmas[i] for i in live], floor, top, [(S[i] + floor).tolist() for i in live])
     out = np.zeros(x.shape, dtype=np.int64)
     for i, c in zip(live, cols):
-        out[:, i] = (c.T @ xs[i][S[i]] % p).reshape(n, *x.shape[2:])
+        out[:, i] = (c.T @ x[S[i], i].reshape(S[i].size, -1) % ctx.p).reshape(x.shape[0], *x.shape[2:])
     return out
 
 
-def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None, columns=False) -> np.ndarray:
+def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dict, cocycles=(), Ub=None, params=(), kernel=False, plan: ResidualPlan = None) -> np.ndarray:
     """The residual matrix of 'E plus the coboundary of b vanishes below the
     thresholds', as F_p digit planes (rows, columns, m) in ``field.dtype``, built in one
     batched pass: one transport, the phi rows of the crossing band gathered by index
-    arrays, the generator rows through one batched gamma action or, with ``columns``
-    (the coboundary systems, where b is nonzero on a few rows), as products with cached
-    operator columns.  ``plan`` is the ``ResidualPlan`` of (module, floor, theta_phi,
-    Ub), built here when not given.
+    arrays, the generator rows as products with cached operator columns on the rows
+    where b is nonzero (``_gamma_rows_from_columns``).  ``plan`` is the
+    ``ResidualPlan`` of (module, floor, theta_phi, Ub), built here when not given.
 
     b lives on [floor, Ub_i).  Below theta_phi_i it is transported from -mu_phi(E); a
     parameter (i, n), n >= theta_phi_i, is free.  Rows: phi on [p floor - max_i
@@ -764,13 +762,12 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         blocks.append(obstruction[None])
     out = np.zeros((starts[-1], B, m), dtype=field.dtype)
     out[np.concatenate(index)] = np.concatenate(blocks).transpose(0, 2, 1) % p
-    gamma_rows = functools.partial(_gamma_rows_from_columns, ctx) if columns else ctx.op_lambda_gamma_rows
     k = f + plan.cycle_slot
     for name, theta in theta_gen.items():
-        top = max(floor + 1, *theta)  # one gamma batch on [floor, top): an image row depends only on rows at or below it
+        top = max(floor + 1, *theta)  # one batch on [floor, top): an image row depends only on rows at or below it
         gamma = ctx.eta if name == "eta" else ctx.xi
         x = b[:, floor - lo : top - lo].transpose(1, 0, 2, 3)  # components on axis 1
-        img = gamma_rows(gamma, sigmas, x, floor, top)
+        img = _gamma_rows_from_columns(ctx, gamma, sigmas, x, floor, top)
         mus = [c.mu_xi(max(top, 1)) if name == "xi" else c.mu_gen[name] for c in E]  # a pole series needs its rows up to pi^0
         for i in range(f):
             for j, mu in enumerate(mus):
@@ -809,12 +806,12 @@ def _coboundary_window(module: RankOneModule, cocycles, floor=None, extent=None)
 
 def _coboundary_system(module: RankOneModule, fl: int, hi: int, cocycles, kernel=True, plan: ResidualPlan = None) -> np.ndarray:
     """``residual_system`` with every threshold at hi, for the generators of the
-    context, its generator rows from cached operator columns; with ``kernel``, plus
-    the kernel column when the module has a kernel line (C = 1 and a fixed cycle)."""
+    context; with ``kernel``, plus the kernel column when the module has a kernel line
+    (C = 1 and a fixed cycle)."""
     ctx = module.ctx
     theta = [hi] * ctx.f
     kernel = kernel and module.C == ctx.field.one() and module.fixed_cycle() is not None
-    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel, plan=plan, columns=True)
+    return residual_system(module, fl, theta, {name: theta for name, _ in ctx.generators()}, cocycles, kernel=kernel, plan=plan)
 
 
 @dataclass

@@ -392,13 +392,17 @@ def test_cli_stdout_digest(cmd, p, f, tmp_path, capsys):
 
 # sha256 of the stdout of V_J tables at the sizes where a system reads mu_xi and lambda^sigma
 # far below the window top, recorded before they were built only below the rows a system
-# reads; (5,2) C=2 c=[3,4] is pinned in CLI_DIGESTS
+# reads; (3,4) reaches f = 4 and (2,3) reads both generators, these two recorded before the
+# V_J systems read their generator rows from operator columns; (5,2) C=2 c=[3,4] is pinned
+# in CLI_DIGESTS
 VJ_TABLE_DIGESTS = {
     (7, 3, 1, (6, 5, 5)): "ee00d07d44cc527f8a8b94beed9451e0640be227f7e325c4be77997a7ee09261",
     (7, 3, 2, (1, 2, 3)): "8b462ec8f7782086563fab4db93375f501fc86e3f5b59269f7712316d09f49c3",
     (5, 3, 2, (1, 2, 3)): "a402d150096a365725249504f4f3325649b8ef8f0f6300f8dab0fec3a89cb369",
     (5, 3, 1, (4, 3, 3)): "a1d0e9fbd7057ea3555612a6aad355ec225baaa02b4f9e72ab35618a05e4c913",
     (3, 3, 2, (2, 1, 1)): "eba4d393195029898a27163952075baf2ae917de808430cec04ed4d69ca3923a",
+    (3, 4, 5, (1, 2, 0, 1)): "55f220f94a7ff185926578912b08b58676812afadd8d5ea97301fa45e6da0166",
+    (2, 3, 3, (0, 1, 1)): "c2d7849c097395dd9688f143a8698f26d5b6f922211776f34c9a81289e35f6e4",
 }
 
 

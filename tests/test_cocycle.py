@@ -23,6 +23,7 @@ from phigamma import (
 )
 from phigamma import bounded as bounded_mod
 from phigamma import cocycle as cocycle_mod
+from phigamma import tate as tate_mod
 from phigamma.cocycle import Cocycle, ModuleBasis, _coboundary_system, _coboundary_window
 from phigamma.gflinalg import gf
 from phigamma.series import INF
@@ -524,6 +525,20 @@ def test_lambda_pow_obeys_cocycle_rule_at_eta_powers(p, f):
         gamma = gamma * gamma
 
 
+def test_a_fresh_basis_builds_each_lambda_power_once(monkeypatch):
+    """build_H reads lambda_eta^sigma on its pole window and _mu_gamma_from_H below M, so
+    build_H asks for it to M first: a fresh basis at (5,3) builds each kept series
+    (lambda_eta and each power) once, counted by wrapping the builds of ``_cache_below``."""
+    monkeypatch.setattr(tate_mod, "_REGISTRY", {})
+    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE", {})
+    builds = []
+    below = tate_mod._cache_below
+    monkeypatch.setattr(tate_mod, "_cache_below", lambda key, order, build: below(key, order, lambda n: builds.append(key) or build(n)))
+    ctx = ctx_for(5, 3)
+    assert len(basis_for(RankOneModule(ctx, 2, (1, 2, 3)))) > 0
+    assert len(builds) == len(set(builds)) and sum(key[-1] == "lampow" for key in builds) == 3, builds
+
+
 def test_column_cache_is_bounded_by_bytes(monkeypatch):
     """Building operator columns drops the least recently used windows until the cache
     fits its byte bound, counted over every stored column; the newest window stays even
@@ -552,6 +567,40 @@ def test_column_cache_is_bounded_by_bytes(monkeypatch):
     assert all(c.dtype == ctx.field.dtype for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values())
 
 
+def test_column_cache_serves_shorter_tops_from_a_prefix(monkeypatch):
+    """An image row depends only on the rows at or below it, so the columns of a floor are
+    kept without their top: columns built for a long top serve a shorter reader, sliced,
+    with no ``op_lambda_gamma_rows`` call, and equal a fresh short build; short columns
+    are rebuilt at a longer reader's top, in one call, and replace the short ones, so the
+    byte bound counts each once."""
+    ctx = ctx_for(5, 1)
+    calls = []
+    op = Context.op_lambda_gamma_rows
+    monkeypatch.setattr(Context, "op_lambda_gamma_rows", lambda *args: calls.append(args[-1]) or op(*args))
+
+    def columns(floor, top, support):
+        return cocycle_mod._operator_columns(ctx, ctx.eta, [2], floor, top, [support])[0]
+
+    def stored():
+        return {(key[3], e): len(c) for key, cols in cocycle_mod._COLUMN_CACHE.items() for e, c in cols.items()}
+
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    short = columns(-5, 10, [-5, 0, 3])
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    long = columns(-5, 20, [-5, 0, 3])
+    del calls[:]
+    assert np.array_equal(columns(-5, 10, [0, 3, -5]), short[[1, 2, 0]]) and not calls
+    assert np.array_equal(long[:, :15], short)
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE_BYTES", 24 + 3 * 25)
+    columns(-4, 20, [1])  # another floor: 1 column of 24 bytes
+    columns(-5, 10, [-5, 0])  # 2 columns of 15 bytes
+    del calls[:]
+    assert np.array_equal(columns(-5, 20, [-5, 0, 3]), long) and calls == [20]
+    assert stored() == {(-4, 1): 24, (-5, -5): 25, (-5, 0): 25, (-5, 3): 25}  # nothing went
+    assert sum(c.nbytes for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values()) == 24 + 3 * 25
+
+
 def test_modules_with_the_same_digits_share_operator_columns(monkeypatch):
     """A second module with the same digits and a new C meets the columns of the first:
     its coboundary tests and span decompositions build none, counted by the calls of
@@ -572,6 +621,38 @@ def test_modules_with_the_same_digits_share_operator_columns(monkeypatch):
         assert [is_coboundary(B).status for B in basis.elements] == ["no"] * len(basis)
         assert all(span_decompose(x, basis) is not None for x in cocycles)
         assert (len(calls) > before) == (basis is inputs[0][0]), len(calls)
+
+
+def test_vj_tables_with_the_same_digits_share_operator_columns(monkeypatch):
+    """A second V_J table on the same digits with a new C meets the operator columns of
+    the first: its systems (``BoundedSystem.run``, at the window and the doubled one)
+    make no ``op_lambda_gamma_rows`` call, counted inside the runs."""
+    ctx = ctx_for(5, 2)
+    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    calls, inside = [], []
+    op, run = Context.op_lambda_gamma_rows, bounded_mod.BoundedSystem.run
+
+    def counted_op(*args):
+        if inside:
+            calls.append(args)
+        return op(*args)
+
+    def counted_run(*args):
+        inside.append(True)
+        try:
+            return run(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Context, "op_lambda_gamma_rows", counted_op)
+    monkeypatch.setattr(bounded_mod.BoundedSystem, "run", counted_run)
+    counts = []
+    for C in (2, 3):
+        del calls[:]
+        reports, _ = bounded_mod.vj_table(RankOneModule(ctx, C, (1, 2)))
+        assert all(rep.stable for rep in reports.values())
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == 0, counts
 
 
 def test_basis_cache_is_bounded_by_bytes(monkeypatch):

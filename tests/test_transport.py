@@ -10,6 +10,7 @@ functionals of one cocycle at a time, the gamma residuals as whole series; and
 ``ref_residual_system``, the batched build with every phi row filled, which the
 crossing band of ``residual_system`` replaced.
 """
+import functools
 import random
 from types import SimpleNamespace
 
@@ -638,14 +639,18 @@ def test_crossing_band_with_mu_phi_below_the_floor():
 
 @pytest.mark.parametrize("p,f", GRID)
 def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
-    """The generator rows of coboundary systems, from cached operator columns, equal the
-    batched gamma action on the same b: the systems of a random cocycle with poles, alone
-    and with the basis, with and without the kernel column, on generic and kernel modules
-    (eta and xi at p = 2); and a sparse random batch with a pole, for eta and xi."""
-    monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+    """The generator rows from cached operator columns equal the batched gamma action of
+    ``ref_residual_system`` on the same b: the coboundary systems of a random cocycle
+    with poles, alone and with the basis, with and without the kernel column, on generic
+    and kernel modules; the V_J systems of ``BoundedSystem.run`` with parameters (strict
+    too at p = 2); eta and xi at p = 2.  Each is built on an empty cache, then twice
+    more in turn, forwards and backwards, on the columns of the others (same floors,
+    other tops: prefixes and rebuilds).  Then a sparse random batch with a pole, for eta
+    and xi, read at a short top, a longer one and the short one again."""
     ctx = ctx_for(p, f)
     F = ctx.field
     rng = random.Random(9500 * p + f)
+    cases = []  # (build, reference)
     for M in modules(ctx, rng):
         basis = basis_for(M).elements
         x = basis_for(M).combination([F.random_element(rng) for _ in basis]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
@@ -654,17 +659,33 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
             theta = [hi] * f
             gens = {name: theta for name, _ in ctx.generators()}
             for kernel in (False, True):
-                want = residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
-                assert np.array_equal(residual_system(M, fl, theta, gens, cocycles, kernel=kernel, columns=True), want), (M, kernel)
+                want = ref_residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
+                cases.append((functools.partial(residual_system, M, fl, theta, gens, cocycles, kernel=kernel), want))
+    for M, prof in system_cases(ctx, rng):
+        basis = basis_for(M).elements
+        for strict in (False, True) if p == 2 else (False,):
+            sys_ = BoundedSystem(M, prof, strict)
+            try:
+                want = ref_residual_system(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub, sys_.params)
+            except PrecisionError:  # a strict threshold past the order of a basis element
+                with pytest.raises(PrecisionError):
+                    sys_.run(basis)
+                continue
+            cases.append((functools.partial(sys_.run, basis), want))
+    for n, (build, want) in enumerate(cases + cases + cases[::-1]):
+        if n < len(cases):
+            monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
+        assert np.array_equal(build(), want), (n, build)
     gen = np.random.default_rng(p * 10 + f)
-    floor, top = -3 * p, 5 * p
-    x = np.zeros((top - floor, f, F.m, 2), dtype=np.int64)
-    rows = gen.choice(top - floor, size=6, replace=False)
-    x[rows] = gen.integers(0, p, (6, f, F.m, 2))
-    sigmas = [int(s) for s in gen.integers(0, p**f, f)]
-    for gamma in (ctx.eta, ctx.xi):
-        want = ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, top)
-        assert np.array_equal(cocycle_mod._gamma_rows_from_columns(ctx, gamma, sigmas, x, floor, top), want), gamma
+    floor = -3 * p
+    for t in (3 * p, 5 * p, 3 * p):
+        x = np.zeros((t - floor, f, F.m, 2), dtype=np.int64)
+        rows = gen.choice(t - floor, size=6, replace=False)
+        x[rows] = gen.integers(0, p, (6, f, F.m, 2))
+        sigmas = [int(s) for s in gen.integers(0, p**f, f)]
+        for gamma in (ctx.eta, ctx.xi):
+            want = ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, t)
+            assert np.array_equal(cocycle_mod._gamma_rows_from_columns(ctx, gamma, sigmas, x, floor, t), want), (gamma, t)
     assert cocycle_mod._COLUMN_CACHE
 
 
