@@ -18,10 +18,10 @@ decomposition in the basis solve it with every threshold at the window top; the 
 systems of ``bounded`` use the twisted thresholds.  b is nonzero on a few rows only,
 so the generator rows are products with columns of the operator (lambda^sigma gamma
 - 1), each the image of one pi^e, which a byte-bounded cache keeps per digits and
-floor for every module and window top that share them.  A basis keeps one ``SpanPlan`` per
-window, the residual plan with the basis columns factored, so that a later span
-decomposition builds and solves only its target column.  ``PhiTransport`` is a
-view of one transport solve and gives the coboundary test its witness.
+floor for every module and window top that share them.  A basis keeps one
+``SpanPlan`` per window, the residual plan with the basis columns factored, so that a
+later span decomposition builds and solves only its target column.  ``PhiTransport``
+is a view of one transport solve and gives the coboundary test its witness.
 """
 from __future__ import annotations
 
@@ -684,7 +684,7 @@ def _operator_columns(ctx: Context, gamma: GammaElement, sigmas, floor: int, top
             for k, (sigma, group) in enumerate(zip(todo, groups)):
                 cache[sigma].update(zip(group, img[:, k, : len(group)].T.astype(ctx.field.dtype)))
         _fit(_COLUMN_CACHE, lambda c: sum(v.nbytes for v in c.values()), _COLUMN_CACHE_BYTES)
-    return [np.stack([cache[sigma][e][:n] for e in support]) for sigma, support in zip(sigmas, supports)]
+    return [np.array([cache[sigma][e][:n] for e in support]) for sigma, support in zip(sigmas, supports)]
 
 
 def _gamma_rows_from_columns(ctx: Context, gamma: GammaElement, sigmas, x: np.ndarray, floor: int, top: int) -> np.ndarray:

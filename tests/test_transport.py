@@ -678,11 +678,11 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
         assert np.array_equal(build(), want), (n, build)
     gen = np.random.default_rng(p * 10 + f)
     floor = -3 * p
+    sigmas = [int(s) for s in gen.integers(0, p**f, f)]
     for t in (3 * p, 5 * p, 3 * p):
         x = np.zeros((t - floor, f, F.m, 2), dtype=np.int64)
         rows = gen.choice(t - floor, size=6, replace=False)
         x[rows] = gen.integers(0, p, (6, f, F.m, 2))
-        sigmas = [int(s) for s in gen.integers(0, p**f, f)]
         for gamma in (ctx.eta, ctx.xi):
             want = ctx.op_lambda_gamma_rows(gamma, sigmas, x, floor, t)
             assert np.array_equal(cocycle_mod._gamma_rows_from_columns(ctx, gamma, sigmas, x, floor, t), want), (gamma, t)
