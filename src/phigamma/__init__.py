@@ -3,7 +3,7 @@ p-adic fields: extension-space bases, bounded-extension subspaces V_J, and
 integral Wach-module lifts with reduction and saturation diagnostics."""
 
 from .field import Field, FieldElement, FieldError, FieldSpec, default_modulus, frobenius, make_field
-from .series import INF, LaurentSeries, PadicInteger, PrecisionError, nth_root_unit, one_plus_pi_pow
+from .series import INF, LaurentSeries, PrecisionError, nth_root_unit, one_plus_pi_pow
 from .tate import Context, GammaElement, NonBijectiveError, TateElement, solve_phi_minus_one
 from .rankone import (
     RankOneModule,

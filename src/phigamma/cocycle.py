@@ -13,7 +13,9 @@ coboundary must vanish below given thresholds.  ``residual_system`` builds its
 matrix for a batch of columns in one pass (one transport fill) on the
 ``ResidualPlan`` of its window: the window's transport schedule and the crossing
 band, the phi rows that the coboundary's cut at the floor can leave nonzero; every
-other phi row is solved exactly by the transport.  The coboundary test and the span
+other phi row is solved exactly by the transport, so the matrix holds only the band,
+the rows below the floor where a cocycle's mu_phi is nonzero, the fixed-cycle slot
+and the generator rows.  The coboundary test and the span
 decomposition in the basis solve it with every threshold at the window top; the V_J
 systems of ``bounded`` use the twisted thresholds.  b is nonzero on a few rows only,
 so the generator rows are products with columns of the operator (lambda^sigma gamma
@@ -621,13 +623,15 @@ class ResidualPlan:
     b on [floor, Ub_i) (Ub defaults to theta_phi), transported below theta_phi_i.
 
     The transport window [lo, hi) holds every parameter and every source of a node in
-    it; ``schedule`` is its ``tate.TransportSchedule``.  The phi rows run over
-    [phi_lo, theta_phi_i), phi_lo = p floor - max_i (p-1)c_i - 1, but the transport
-    solves a row exactly unless the coboundary's cut at the floor splits it from its
-    source, so ``phi_rows[i]`` keeps only the crossing band: e < floor with a source at
-    or above the floor, e >= floor with a source in [lo, floor), and the fixed-cycle
-    exponent e*_i, whose row carries the cycle obstruction.  A row e < floor where a
-    cocycle's mu_phi is nonzero is added per system."""
+    it; ``schedule`` is its ``tate.TransportSchedule``.  A phi row e lies in [phi_lo,
+    theta_phi_i), phi_lo = p floor - max_i (p-1)c_i - 1, and the transport solves it
+    exactly unless the coboundary's cut at the floor splits it from its source, so
+    ``phi_rows[i]`` holds the crossing band, the only phi rows a system keeps besides
+    those of its cocycles: e < floor with a source at or above the floor, e >= floor
+    with a source in [lo, floor), and the fixed-cycle exponent e*_i, whose row carries
+    the cycle obstruction.  A system adds the rows e < floor where a cocycle's mu_phi is
+    nonzero; a coboundary window's floor is at or below its cocycles
+    (``_coboundary_window``), so there the plan alone fixes the rows."""
 
     def __init__(self, module: RankOneModule, floor: int, theta_phi, Ub=None):
         ctx = module.ctx
@@ -711,10 +715,12 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     ``ResidualPlan`` of (module, floor, theta_phi, Ub), built here when not given.
 
     b lives on [floor, Ub_i).  Below theta_phi_i it is transported from -mu_phi(E); a
-    parameter (i, n), n >= theta_phi_i, is free.  Rows: phi on [p floor - max_i
-    (p-1)c_i - 1, theta_phi_i), zero off the crossing band; the fixed-cycle
-    obstruction slot (C = 1 and the cycle below theta_phi), then for each generator
-    name and component i the rows on [floor, theta_gen[name][i]).  Columns: one per
+    parameter (i, n), n >= theta_phi_i, is free.  Rows, only those the system fills,
+    in increasing exponent within each block: for each component i the phi rows of
+    the crossing band (``plan.phi_rows[i]``) and those below the floor where a
+    cocycle's mu_phi is nonzero; the fixed-cycle obstruction slot (C = 1 and the cycle
+    below theta_phi); then for each generator name and component i the rows on
+    [floor, theta_gen[name][i]).  Columns: one per
     cocycle E, one per parameter (a unit coefficient), and with ``kernel`` one for
     the kernel line of the phi-transport (b = pi^e* on the fixed cycle)."""
     ctx = module.ctx
@@ -737,9 +743,7 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
     b, obstruction = plan.schedule.fill(h, cycle_value)
     del h
     b[:, : floor - lo] = 0  # the coboundary is b on [floor, Ub)
-    heights = [t - phi_lo for t in theta_phi] + [1] * plan.cycle_slot + [t - floor for theta in theta_gen.values() for t in theta]
-    starts = np.cumsum([0] + [max(n, 0) for n in heights])
-    index, blocks = [], []
+    blocks = []
     for i in range(f):
         n = max(theta_phi[i] - phi_lo, 0)
         mu = np.array([c.mu_phi[i].coeff_rows(phi_lo, theta_phi[i]) for c in E], dtype=np.int64).reshape(nE, n, m)
@@ -755,14 +759,10 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
         rows[ok] = plan.schedule.Cm[i] @ b[(i + 1) % f, src[ok] - lo]
         rows[own] -= b[i, e[own] - lo]
         rows[:, :, :nE] += mu[:, pos].transpose(1, 2, 0)
-        index.append(starts[i] + pos)
         blocks.append(rows)
     if plan.cycle_slot:
-        index.append(starts[f : f + 1])
         blocks.append(obstruction[None])
-    out = np.zeros((starts[-1], B, m), dtype=field.dtype)
-    out[np.concatenate(index)] = np.concatenate(blocks).transpose(0, 2, 1) % p
-    k = f + plan.cycle_slot
+    blocks = [(x % p).transpose(0, 2, 1).astype(field.dtype) for x in blocks]
     for name, theta in theta_gen.items():
         top = max(floor + 1, *theta)  # one batch on [floor, top): an image row depends only on rows at or below it
         gamma = ctx.eta if name == "eta" else ctx.xi
@@ -773,10 +773,8 @@ def residual_system(module: RankOneModule, floor: int, theta_phi, theta_gen: dic
             for j, mu in enumerate(mus):
                 img[: max(theta[i] - floor, 0), i, :, j] += mu.comps[i].coeff_rows(floor, theta[i])
         img %= p
-        for i in range(f):
-            out[starts[k] : starts[k + 1]] = img[: starts[k + 1] - starts[k], i].transpose(0, 2, 1)
-            k += 1
-    return out
+        blocks += [img[: max(t - floor, 0), i].transpose(0, 2, 1).astype(field.dtype) for i, t in enumerate(theta)]
+    return np.concatenate(blocks)
 
 
 def _extent(module: RankOneModule, cocycles, extent=None):

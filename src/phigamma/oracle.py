@@ -8,6 +8,7 @@ congruence) pair - both exactly checkable on a window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .series import LaurentSeries
 from .tate import Context
@@ -180,14 +181,7 @@ def default_grid(ctx: Context, name: str):
     p, f = ctx.p, ctx.f
     if name in ODD_P_LEMMAS and p == 2:  # left out, as the p2 lemmas are at p > 2
         return []
-    if name == "delta":
-        return [
-            {"sigma": sig, "s": s}
-            for sig in range(0, p**f - 1)
-            for s in range(-2 * p, 0)
-            if _vp(sig + s * (p**f - 1) // (p - 1), p) >= 0
-        ]
-    if name == "gamma":
+    if name in ("delta", "gamma"):
         return [
             {"sigma": sig, "s": s}
             for sig in range(0, p**f - 1)
@@ -208,34 +202,19 @@ def default_grid(ctx: Context, name: str):
         if p != 2:
             return []
         out = []
-        from itertools import product
-
         for c in product(range(2), repeat=f):
             if all(x == 1 for x in c):
                 continue
             for i in range(f):
                 out.append({"c": c, "i": i})
         return out
-    if name == "trick":
+    if name in ("trick", "trick_plus"):
         out = []
-        from itertools import product
-
         for c in product(range(p), repeat=f):
             if all(x == p - 1 for x in c):
                 continue
             for i in range(f):
-                if c[i] == p - 1 and c[(i + 1) % f] != p - 2:
-                    out.append({"c": c, "i": i})
-        return out
-    if name == "trick_plus":
-        out = []
-        from itertools import product
-
-        for c in product(range(p), repeat=f):
-            if all(x == p - 1 for x in c):
-                continue
-            for i in range(f):
-                if c[i] == p - 1:
+                if c[i] == p - 1 and (name == "trick_plus" or c[(i + 1) % f] != p - 2):
                     out.append({"c": c, "i": i})
         return out
     raise ValueError("unknown lemma %r" % name)

@@ -195,17 +195,7 @@ def weight_profiles(module: RankOneModule, J) -> list:
 def twist_factor(module: RankOneModule, prof: WeightProfile) -> TateElement:
     """<c>_J = (pi^((p-1)eps_0), ...), with (p^f - 1) eps_i = Sigma_i(c - d)."""
     ctx = module.ctx
-    p, f = ctx.p, ctx.f
-    d = prof.d
-    diff = [module.c[i] - d[i] for i in range(f)]
-    comps = []
-    for i in range(f):
-        num = sigma_twisted(diff, i, p)
-        if num % (p**f - 1) != 0:
-            raise ArithmeticError("non-integral twist exponent: profile does not match module")
-        eps = num // (p**f - 1)
-        comps.append(ctx.pi((p - 1) * eps))
-    return ctx.tate(comps)
+    return ctx.tate([ctx.pi((ctx.p - 1) * eps) for eps in twist_exponents(module, prof)])
 
 
 def twist_exponents(module: RankOneModule, prof: WeightProfile) -> tuple:
@@ -217,6 +207,6 @@ def twist_exponents(module: RankOneModule, prof: WeightProfile) -> tuple:
     for i in range(f):
         num = sigma_twisted(diff, i, p)
         if num % (p**f - 1) != 0:
-            raise ArithmeticError("non-integral twist exponent")
+            raise ArithmeticError("non-integral twist exponent: profile does not match module")
         out.append(num // (p**f - 1))
     return tuple(out)

@@ -21,39 +21,6 @@ class PrecisionError(ArithmeticError):
     """A coefficient beyond the reliable window was requested or needed."""
 
 
-class PadicInteger:
-    """A p-adic integer known to ``ndigits`` base-p digits (exact int backing)."""
-
-    __slots__ = ("p", "value", "ndigits")
-
-    def __init__(self, p: int, value: int, ndigits: int):
-        self.p = p
-        self.value = value
-        self.ndigits = ndigits
-
-    def digits(self, n: int = None) -> list:
-        n = self.ndigits if n is None else n
-        if n > self.ndigits:
-            raise PrecisionError("p-adic integer only known to %d digits" % self.ndigits)
-        v = self.value % self.p**n
-        out = []
-        for _ in range(n):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
-    def __mul__(self, other):
-        o = other.value if isinstance(other, PadicInteger) else other
-        nd = min(self.ndigits, other.ndigits) if isinstance(other, PadicInteger) else self.ndigits
-        return PadicInteger(self.p, self.value * o, nd)
-
-    def __pow__(self, e: int):
-        return PadicInteger(self.p, pow(self.value, e, self.p ** (self.ndigits + 64)), self.ndigits)
-
-    def __repr__(self):
-        return "PadicInteger(p=%d, %d + O(%d^%d))" % (self.p, self.value % self.p**self.ndigits, self.p, self.ndigits)
-
-
 def _as_order(x):
     return x if x == INF else int(x)
 
@@ -391,10 +358,6 @@ def one_plus_pi_pow(field: Field, u, order) -> LaurentSeries:
     order = int(order)
     if order <= 0:
         return LaurentSeries.zero(field, order)
-    if isinstance(u, PadicInteger):
-        if p**u.ndigits < order:
-            raise PrecisionError("need p^ndigits >= order to expand (1+pi)^u")
-        u = u.value
     P = pascal_size(p, order)
     y = np.zeros((P, 1), dtype=np.int64)
     y[int(u) % P] = 1

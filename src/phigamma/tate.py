@@ -25,7 +25,7 @@ import functools
 import numpy as np
 
 from .field import Field, FieldElement, convolve_rows
-from .series import INF, LaurentSeries, PadicInteger, PrecisionError, one_plus_pi_pow, pascal_size, pascal_transform
+from .series import INF, LaurentSeries, PrecisionError, one_plus_pi_pow, pascal_size, pascal_transform
 
 
 class NonBijectiveError(ArithmeticError):
@@ -78,10 +78,6 @@ class GammaElement:
         self.chi_int = chi_int
         self.ndigits = ndigits
         self.name = name
-
-    @property
-    def chi(self) -> PadicInteger:
-        return PadicInteger(self.p, self.chi_int, self.ndigits)
 
     @property
     def level(self) -> int:

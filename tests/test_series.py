@@ -156,24 +156,6 @@ def test_scale_matches_series_product(rng):
             assert s.scale(c) == s * LaurentSeries.const(field, c)
 
 
-def test_padic_integer():
-    from phigamma import PadicInteger
-
-    u = PadicInteger(3, 4, 5)
-    assert u.digits() == [1, 1, 0, 0, 0]
-    assert PadicInteger(3, -1, 4).digits() == [2, 2, 2, 2]
-
-
-def test_one_plus_pi_pow_insufficient_digits():
-    from phigamma import PadicInteger
-
-    F3 = F(3)
-    u = PadicInteger(3, 4, 2)  # knows 2 digits: covers orders < 9 only
-    assert one_plus_pi_pow(F3, u, 9).agrees_with(one_plus_pi_pow(F3, 4, 9))
-    with pytest.raises(PrecisionError):
-        one_plus_pi_pow(F3, u, 10)
-
-
 def _full_product(a, b):
     """a * b from the whole rows of both factors, cut only at the result's order."""
     from test_field import schoolbook_mul_rows

@@ -8,7 +8,8 @@ column-at-a-time ``BoundedSystem.run``), and ``ref_is_coboundary`` and
 ``ref_span_decompose``, the old coboundary tests: a tail layout and the residual
 functionals of one cocycle at a time, the gamma residuals as whole series; and
 ``ref_residual_system``, the batched build with every phi row filled, which the
-crossing band of ``residual_system`` replaced.
+crossing band of ``residual_system`` replaced.  Each full-height reference is zero off
+the compact layout of ``residual_system`` (``compact_rows``), and equals it on its rows.
 """
 import functools
 import random
@@ -449,12 +450,49 @@ def test_bounded_transport_with_random_parameters(p, f):
             assert F.from_row(obstruction[:, 0]) == violation
 
 
+def compact_rows(module, floor, theta_phi, theta_gen, cocycles=(), Ub=None):
+    """The rows of the full-height layout of ``ref_residual_system`` that ``residual_system``
+    keeps, in order: per component i, on [p floor - max_i (p-1)c_i - 1, theta_phi_i), the
+    plan's crossing band and the rows below the floor where a cocycle's mu_phi is nonzero;
+    the fixed-cycle slot (C = 1 and the cycle below theta_phi); then for each generator and
+    component every row on [floor, theta_i)."""
+    ctx = module.ctx
+    p, f = ctx.p, ctx.f
+    band = ResidualPlan(module, floor, theta_phi, Ub).phi_rows
+    phi_lo = p * floor - max((p - 1) * ci for ci in module.c) - 1
+    estar = module.fixed_cycle()
+    cycle_slot = estar is not None and all(e < t for e, t in zip(estar, theta_phi)) and module.C == ctx.field.one()
+    rows, start = [], 0
+    for i in range(f):
+        below = [e for e in range(phi_lo, min(floor, theta_phi[i])) if any(c.mu_phi[i].coeff(e) for c in cocycles)]
+        rows.append(start + np.union1d(band[i], below).astype(np.int64) - phi_lo)
+        start += max(theta_phi[i] - phi_lo, 0)
+    if cycle_slot:
+        rows.append(np.array([start]))
+        start += 1
+    for theta in theta_gen.values():
+        for t in theta:
+            rows.append(start + np.arange(max(t - floor, 0)))
+            start += max(t - floor, 0)
+    return np.concatenate(rows)
+
+
+def assert_compact(got, want, rows, msg):
+    """The full-height reference ``want`` is zero off ``rows``, and ``got`` is ``want`` on
+    them, in order."""
+    kept = np.zeros(len(want), dtype=bool)
+    kept[rows] = True
+    assert not want[~kept].any(), msg
+    assert np.array_equal(got, want[rows]), msg
+
+
 def assert_run_matches_reference(M, prof):
     sys_ = BoundedSystem(M, prof)
     basis = basis_for(M).elements
     cols = [ref_bounded_column(sys_, E=B) for B in basis]
     cols += [ref_bounded_column(sys_, param_index=j) for j in range(len(sys_.params))]
-    assert np.array_equal(sys_.run(basis), np.stack(cols, axis=1)), (M, prof)
+    rows = compact_rows(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub)
+    assert_compact(sys_.run(basis), np.stack(cols, axis=1), rows, (M, prof))
     return sys_
 
 
@@ -590,9 +628,10 @@ def test_crossing_band_matches_full_phi_rows(p, f):
             fl, hi = _coboundary_window(M, cocycles)
             theta = [hi] * f
             gens = {name: theta for name, _ in ctx.generators()}
+            rows = compact_rows(M, fl, theta, gens, cocycles)
             for kernel in (False, True):
                 want = ref_residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
-                assert np.array_equal(residual_system(M, fl, theta, gens, cocycles, kernel=kernel), want), (M, len(cocycles), kernel)
+                assert_compact(residual_system(M, fl, theta, gens, cocycles, kernel=kernel), want, rows, (M, len(cocycles), kernel))
         seen_kernel |= M.C == F.one() and M.fixed_cycle() is not None
     assert seen_kernel
     seen_params = False
@@ -600,7 +639,8 @@ def test_crossing_band_matches_full_phi_rows(p, f):
         sys_ = BoundedSystem(M, prof)
         basis = basis_for(M).elements
         want = ref_residual_system(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub, sys_.params)
-        assert np.array_equal(sys_.run(basis), want), (M, prof)
+        rows = compact_rows(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub)
+        assert_compact(sys_.run(basis), want, rows, (M, prof))
         seen_params |= bool(sys_.params)
     assert seen_params
 
@@ -621,13 +661,15 @@ def test_crossing_band_with_mu_phi_below_the_floor():
             for prof in weight_profiles(M, J):
                 sys_ = BoundedSystem(M, prof)
                 want = ref_residual_system(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub, sys_.params)
-                assert np.array_equal(sys_.run(basis), want), (M, prof)
+                rows = compact_rows(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub)
+                assert_compact(sys_.run(basis), want, rows, (M, prof))
                 seen |= any(B.mu_phi[i].low < min(sys_.Lb, sys_.theta_phi[i]) for B in basis for i in range(ctx.f))
         # a floor above -c_i: the rows e >= floor whose source lies below the floor
         for floor in (-1, -2):
             theta = [3 * ctx.p] * ctx.f
             want = ref_residual_system(M, floor, theta, {"eta": theta}, basis[-1:])
-            assert np.array_equal(residual_system(M, floor, theta, {"eta": theta}, basis[-1:]), want), (M, floor)
+            rows = compact_rows(M, floor, theta, {"eta": theta}, basis[-1:])
+            assert_compact(residual_system(M, floor, theta, {"eta": theta}, basis[-1:]), want, rows, (M, floor))
             plan = ResidualPlan(M, floor, theta)
             upper = [e for i in range(ctx.f) for e in plan.phi_rows[i] if e >= floor and (e - plan.shifts[i]) // ctx.p < floor]
             seen_upper |= bool(upper)
@@ -650,7 +692,7 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
     ctx = ctx_for(p, f)
     F = ctx.field
     rng = random.Random(9500 * p + f)
-    cases = []  # (build, reference)
+    cases = []  # (build, reference, compact rows)
     for M in modules(ctx, rng):
         basis = basis_for(M).elements
         x = basis_for(M).combination([F.random_element(rng) for _ in basis]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
@@ -658,9 +700,10 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
             fl, hi = _coboundary_window(M, cocycles)
             theta = [hi] * f
             gens = {name: theta for name, _ in ctx.generators()}
+            rows = compact_rows(M, fl, theta, gens, cocycles)
             for kernel in (False, True):
                 want = ref_residual_system(M, fl, theta, gens, cocycles, kernel=kernel)
-                cases.append((functools.partial(residual_system, M, fl, theta, gens, cocycles, kernel=kernel), want))
+                cases.append((functools.partial(residual_system, M, fl, theta, gens, cocycles, kernel=kernel), want, rows))
     for M, prof in system_cases(ctx, rng):
         basis = basis_for(M).elements
         for strict in (False, True) if p == 2 else (False,):
@@ -671,11 +714,12 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
                 with pytest.raises(PrecisionError):
                     sys_.run(basis)
                 continue
-            cases.append((functools.partial(sys_.run, basis), want))
-    for n, (build, want) in enumerate(cases + cases + cases[::-1]):
+            rows = compact_rows(M, sys_.Lb, sys_.theta_phi, sys_.theta_gen, basis, sys_.Ub)
+            cases.append((functools.partial(sys_.run, basis), want, rows))
+    for n, (build, want, rows) in enumerate(cases + cases + cases[::-1]):
         if n < len(cases):
             monkeypatch.setattr(cocycle_mod, "_COLUMN_CACHE", {})
-        assert np.array_equal(build(), want), (n, build)
+        assert_compact(build(), want, rows, (n, build))
     gen = np.random.default_rng(p * 10 + f)
     floor = -3 * p
     sigmas = [int(s) for s in gen.integers(0, p**f, f)]
@@ -801,3 +845,32 @@ def test_stored_schedule_is_the_modules_own(p, f):
             assert all(np.array_equal(a, b) for a, b in zip(got, fresh(C))), (M, c)
             assert not np.array_equal(got[0], fresh(other)[0]), (M, c)
             assert span_decompose(x, basis) is not None and len(basis._residual_cache) == 1
+
+
+@pytest.mark.parametrize("p,f", GRID)
+def test_a_span_plan_fixes_the_coboundary_layout(p, f):
+    """A coboundary window's floor lies at or below every component of its cocycles, so no
+    cocycle has a nonzero mu_phi row below the floor (the windows of a span and of
+    ``is_coboundary``, with and without ``floor``), and the plan alone fixes the rows of a
+    coboundary system: on random cocycles with poles, the first span system of a window
+    and a later one have the same height, that of the span's ``rows``."""
+    ctx = ctx_for(p, f)
+    F = ctx.field
+    rng = random.Random(9700 * p + f)
+    for M in modules(ctx, rng):
+        basis = ModuleBasis(M)
+        x = basis.combination([F.random_element(rng) for _ in basis.elements]) + coboundary(M, random_tate(ctx, rng, -2 * p, p))
+        # a later target in the same window: its poles are no deeper than those of x
+        y = x.scale(F.random_element(rng, nonzero=True)) + basis.combination([F.random_element(rng) for _ in basis.elements]) + coboundary(M, random_tate(ctx, rng, -p, p))
+        key = _coboundary_window(M, [x], extent=basis.extent)
+        assert _coboundary_window(M, [y], extent=basis.extent) == key, M
+        windows = [(key[0], [x, y, *basis.elements])] + [(_coboundary_window(M, [z], floor)[0], [z]) for z in (x, y) for floor in (None, -3 * p)]
+        for fl, cocycles in windows:
+            phi_lo = p * fl - max((p - 1) * ci for ci in M.c) - 1
+            assert not any(c.mu_phi[i].coeff_rows(phi_lo, fl).any() for c in cocycles for i in range(f)), (M, fl)
+        assert span_decompose(x, basis) is not None
+        (span,) = basis._residual_cache.values()
+        first = cocycle_mod._coboundary_system(M, *key, [x, *basis.elements], plan=span.plan)
+        later = cocycle_mod._coboundary_system(M, *key, [y], kernel=False, plan=span.plan)
+        assert len(first) == len(later) == len(span.rows), M
+        assert span_decompose(y, basis) is not None and len(basis._residual_cache) == 1
