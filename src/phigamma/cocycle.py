@@ -6,7 +6,9 @@ to the compatibility (dagger): (kappa_phi phi - 1)(mu_gamma) =
 words.  Basis elements B_i are built by greedy valuation elimination against
 (lambda_eta^Sigma eta - 1), with deeper rescue blocks when the elimination
 sticks at an exponent divisible by p - 1; the exceptional bases (trivial and
-cyclotomic modules) get their own constructions.
+cyclotomic modules) get their own constructions.  H_i and its gamma-images depend
+on the module only through Sigma_i(c), so a byte-bounded cache shares them across C
+(``_principal_part``); each module solves its own transport of them.
 
 One linear problem underlies the certificates: a cocycle plus a correcting
 coboundary must vanish below given thresholds.  ``residual_system`` builds its
@@ -34,7 +36,7 @@ import numpy as np
 
 from .field import FieldElement
 from .series import INF, LaurentSeries, PrecisionError
-from .tate import _WORK, Context, GammaElement, NonBijectiveError, TateElement, TransportSchedule, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
+from .tate import _WORK, _fit, Context, GammaElement, NonBijectiveError, TateElement, TransportSchedule, phi_transport, solve_phi_minus_one, solve_phi_unit_tail
 from .rankone import RankOneModule
 from .gflinalg import Factored, gf
 
@@ -300,27 +302,36 @@ def build_H(module: RankOneModule, i: int, collect_pivots=None) -> LaurentSeries
 
 
 def _build_H_p2(module: RankOneModule, i: int, r: int) -> LaurentSeries:
-    """p = 2 principal parts: pi^(-1) for c_i = 0, else the two-term closed form."""
+    """p = 2 principal parts: pi^(-1) for c_i = 0, else the two-term closed form.  Its
+    images under eta and xi are checked integral where they are built, in
+    ``_mu_gamma_from_H`` (and by the oracle's p2H lemma)."""
     ctx = module.ctx
     if r == -1:
-        H = ctx.pi(-1)
-    else:
-        H = ctx.pi(1 - 2 ** (r + 2)) + ctx.pi(1 + 2**r - 2 ** (r + 2))
-    sigma = module.sigma(i)
-    for gamma in (ctx.eta, ctx.xi):
-        img = ctx.op_lambda_gamma(gamma, sigma, H)
-        v = img.val()
-        if v is not None and v < 0:
-            raise PivotError("p=2 principal part is not integral under gamma")
-    return H
+        return ctx.pi(-1)
+    return ctx.pi(1 - 2 ** (r + 2)) + ctx.pi(1 + 2**r - 2 ** (r + 2))
 
 
-def _mu_gamma_from_H(module: RankOneModule, i: int, H: LaurentSeries, gamma: GammaElement) -> TateElement:
-    """Solve (dagger) for mu_gamma given mu_phi = e_i H, via the cyclic chain."""
+def _principal_part(module: RankOneModule, i: int, gamma: GammaElement = None) -> LaurentSeries:
+    """H_i (``build_H``), or with ``gamma`` its image (lambda_gamma^Sigma_i gamma - 1)(H_i).
+    Both depend on the module only through Sigma_i(c), not on C, so every module of the
+    context with the same Sigma_i shares them: ``_PRINCIPAL_PARTS`` keeps one entry per
+    (context, Sigma_i), H_i under None and each image under chi(gamma)."""
+    ctx, sigma = module.ctx, module.sigma(i)
+    key, chi = (ctx.key, sigma), None if gamma is None else gamma.chi_int
+    entry = _PRINCIPAL_PARTS[key] = _PRINCIPAL_PARTS.pop(key, {})
+    if chi not in entry:
+        entry[chi] = build_H(module, i) if gamma is None else ctx.op_lambda_gamma(gamma, sigma, _principal_part(module, i))
+        _fit(_PRINCIPAL_PARTS, lambda e: sum(s.rows.nbytes for s in e.values()), _PRINCIPAL_PART_BYTES)
+    return entry[chi]
+
+
+def _mu_gamma_from_H(module: RankOneModule, i: int, gamma: GammaElement) -> TateElement:
+    """Solve (dagger) for mu_gamma given mu_phi = e_i H_i, via the cyclic chain: the
+    shared image of H_i (``_principal_part``) is solved by the module's transport."""
     ctx = module.ctx
     p, f = ctx.p, ctx.f
     sigma = module.sigma(i)
-    L = ctx.op_lambda_gamma(gamma, sigma, H)
+    L = _principal_part(module, i, gamma)
     if not L.is_zero() and L.val() < 0:
         raise PivotError("(lambda^Sigma gamma - 1)(H) has a pole; H is wrong")
     G = [None] * f
@@ -340,11 +351,10 @@ def build_Bi(module: RankOneModule, i: int) -> Cocycle:
     if module.is_trivial_shape():
         raise NonBijectiveError("use build_trivial_basis for the trivial module")
     i = i % ctx.f
-    H = build_H(module, i)
-    mu_phi = ctx.tate_unit_vector(i, H)
-    mu_gen = {"eta": _mu_gamma_from_H(module, i, H, ctx.eta)}
+    mu_phi = ctx.tate_unit_vector(i, _principal_part(module, i))
+    mu_gen = {"eta": _mu_gamma_from_H(module, i, ctx.eta)}
     if ctx.p == 2:
-        mu_gen["xi"] = _mu_gamma_from_H(module, i, H, ctx.xi)
+        mu_gen["xi"] = _mu_gamma_from_H(module, i, ctx.xi)
     return Cocycle(module, mu_phi, mu_gen, "B_%d" % i)
 
 
@@ -498,7 +508,7 @@ class ModuleBasis:
 
     def __init__(self, module: RankOneModule):
         self.module = module
-        self._residual_cache = {}
+        self._residual_cache = {}  # coboundary window -> SpanPlan, added by ``add_span``
         ctx = module.ctx
         elements = []
         if module.is_trivial_shape():
@@ -514,16 +524,24 @@ class ModuleBasis:
         self.elements = elements
         self.labels = tuple(c.label for c in elements)
         self.extent = _extent(module, elements)  # walked once, not on every span
+        series = {id(s.rows): s.rows.nbytes for B in elements for x in (B.mu_phi, *B.mu_gen.values()) for s in x.comps}
+        self._nbytes = sum(series.values())  # grows by each span plan added
 
     def __len__(self):
         return len(self.elements)
 
     def nbytes(self) -> int:
-        """Bytes of the arrays the basis holds: its cocycles' series (with a derived
-        mu_xi) and the span plans of its windows."""
-        tates = [x for B in self.elements for x in (B.mu_phi, *B.mu_gen.values(), B._mu_xi_cache) if x is not None]
-        series = {id(s.rows): s.rows.nbytes for x in tates for s in x.comps}
-        return sum(series.values()) + sum(span.nbytes() for span in self._residual_cache.values())
+        """Bytes of the arrays the basis holds: its cocycles' series, counted when it is
+        built, the span plans of its windows, counted as each is added, and each derived
+        mu_xi, read off its f rows (``basis_for`` fits the cache by this on every build)."""
+        derived = [s.rows.nbytes for B in self.elements if B._mu_xi_cache is not None for s in B._mu_xi_cache.comps]
+        return self._nbytes + sum(derived)
+
+    def add_span(self, key, span: "SpanPlan") -> "SpanPlan":
+        """Keep the span plan of the coboundary window ``key`` and count its bytes."""
+        self._residual_cache[key] = span
+        self._nbytes += span.nbytes()
+        return span
 
     def ext_class(self, coords) -> ExtClass:
         return ExtClass(tuple(coords), self.labels)
@@ -540,18 +558,8 @@ _BASIS_CACHE = {}  # most recently used last
 _BASIS_CACHE_BYTES = 3 << 20  # array bytes kept over all cached bases; the newest always stays
 _COLUMN_CACHE = {}  # (ctx.key, chi(gamma), sigma, floor) -> {e: column on [floor, its top)}, most recently used last
 _COLUMN_CACHE_BYTES = 1 << 20  # operator column bytes kept over all windows; the newest always stays
-
-
-def _fit(cache: dict, size, budget: int):
-    """Drop the least recently used entries of ``cache`` until the sizes of the rest
-    total at most ``budget``; the newest entry (the last) always stays."""
-    sizes = [size(v) for v in cache.values()]
-    total = sum(sizes)
-    for old, n in zip(list(cache)[:-1], sizes):
-        if total <= budget:
-            break
-        del cache[old]
-        total -= n
+_PRINCIPAL_PARTS = {}  # (ctx.key, Sigma_i) -> {None: H_i, chi(gamma): its image}, most recently used last
+_PRINCIPAL_PART_BYTES = 1 << 20  # principal part and image bytes kept over all digits; the newest always stays
 
 
 def basis_for(module: RankOneModule) -> ModuleBasis:
@@ -623,7 +631,8 @@ class ResidualPlan:
     b on [floor, Ub_i) (Ub defaults to theta_phi), transported below theta_phi_i.
 
     The transport window [lo, hi) holds every parameter and every source of a node in
-    it; ``schedule`` is its ``tate.TransportSchedule``.  A phi row e lies in [phi_lo,
+    it; ``schedule`` is its ``tate.TransportSchedule``, on the window's fill order that
+    every C on the same digits shares.  A phi row e lies in [phi_lo,
     theta_phi_i), phi_lo = p floor - max_i (p-1)c_i - 1, and the transport solves it
     exactly unless the coboundary's cut at the floor splits it from its source, so
     ``phi_rows[i]`` holds the crossing band, the only phi rows a system keeps besides
@@ -657,6 +666,7 @@ class ResidualPlan:
             self.phi_rows.append(e[cross])
 
     def nbytes(self) -> int:
+        """Bytes of the plan's own arrays; the shared fill order is not counted."""
         return self.schedule.nbytes() + sum(e.nbytes for e in self.phi_rows)
 
 
@@ -880,7 +890,7 @@ def span_decompose(c: Cocycle, basis: ModuleBasis = None):
         plan = ResidualPlan(module, key[0], [key[1]] * ctx.f)
         target, A = np.split(_coboundary_system(module, *key, [c, *basis.elements], plan=plan), [1], axis=1)
         rows = A.any(axis=(1, 2))  # most rows vanish on every column
-        span = basis._residual_cache[key] = SpanPlan(plan, rows, Factored(gf(ctx.field), A[rows]))
+        span = basis.add_span(key, SpanPlan(plan, rows, Factored(gf(ctx.field), A[rows])))
     else:
         target = _coboundary_system(module, *key, [c], kernel=False, plan=span.plan)
     target = target[:, 0]

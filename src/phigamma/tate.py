@@ -15,8 +15,10 @@ gamma(pi)^(-a), lambda_gamma and its powers) are at most O(M) series keyed globa
 so contexts with equal parameters share them.
 The phi-transport C_i b_{i+1}[(e - s_i)/q] - b_i[e] = h_i[e] has one solver,
 ``phi_transport``, for a batch of right-hand sides at once: a ``TransportSchedule``
-of the window (chain levels and the fixed cycle, independent of the right-hand
-sides), which a caller may keep for further right-hand sides, and its fill.
+of the window, which a caller may keep for further right-hand sides, and its fill.
+A schedule is the window's ``FillOrder`` (chain levels and the fixed cycle, which
+depend on neither C nor the right-hand sides, kept per window in a byte-bounded
+cache that every C shares) and the matrices of its C.
 """
 from __future__ import annotations
 
@@ -155,11 +157,25 @@ class TateElement:
 
 
 _REGISTRY = {}
+_FILL_ORDERS = {}  # (q, shifts, lo, hi, free) -> FillOrder, most recently used last
+_FILL_ORDER_BYTES = 1 << 20  # fill order bytes kept over all windows; the newest always stays
 
 # A pole is cleared by K = a p^k with p^k >= order / _POLE_STEPS and 1 <= a < p.
 _POLE_STEPS = 8
 # int64 entries in one work array of a batched transform; wider batches go in column groups
 _WORK = 1 << 14
+
+
+def _fit(cache: dict, size, budget: int):
+    """Drop the least recently used entries of ``cache`` until the sizes of the rest
+    total at most ``budget``; the newest entry (the last) always stays."""
+    sizes = [size(v) for v in cache.values()]
+    total = sum(sizes)
+    for old, n in zip(list(cache)[:-1], sizes):
+        if total <= budget:
+            break
+        del cache[old]
+        total -= n
 
 
 def _cache(key, build):
@@ -448,66 +464,96 @@ def solve_phi_unit_tail(ctx: Context, h: LaurentSeries, q: int = None) -> Lauren
     return _solve_c_phi_minus_one(ctx, ctx.field.one(), h, int(min(h.order, ctx.M)), q)
 
 
-class TransportSchedule:
-    """The fill order of the phi-transport C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e],
-    i in Z/f, e in [lo, hi): everything that depends on the field, q, the shifts, C, the
-    window and ``free`` but not on h, so that one schedule serves every h of its window.
+class FillOrder:
+    """The order in which the phi-transport C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e],
+    i in Z/f, e in [lo, hi), fills its nodes: everything that depends on q, the shifts, the
+    window and ``free`` but neither on C nor on h, so that every C on the same digits
+    shares it (``fill_order``).  Node (i, e) is i W + e - lo, W = hi - lo, held in int32.
 
-    A node (i, e) whose source (i+1, (e - shifts_i)/q) is not an exponent in [lo, hi),
-    or with e >= free_i, is a root: b_i[e] = -h_i[e].  Every other node has one source,
-    so the nodes are filled in order of chain depth, one gather and one batch of m x m
-    products C_i per level (``levels``).  Chains that reach no root end in the fixed
-    cycle, where (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k.  u_0 sits on the cycle node
-    of the lowest component, and the cycle is filled forward from it, u_{k+1} =
-    C_k^-1 (u_k + h_k), before the levels that hang off it (``after``)."""
+    A node whose source (i+1, (e - shifts_i)/q) is not an exponent in [lo, hi), or with
+    e >= free_i, is a root.  Every other node has one source, so the nodes are filled in
+    order of chain depth, one (nodes, sources) pair per level (``levels``).  Chains that
+    reach no root end in the fixed cycle (``cycle``, from the node of the lowest
+    component on, with the component of each node in ``cycle_comp``), before the levels
+    that hang off it (``after``)."""
 
-    def __init__(self, field: Field, q: int, shifts, C, lo: int, hi: int, free=None):
-        p, m = field.p, field.m
+    __slots__ = ("levels", "cycle", "cycle_comp", "after", "_nbytes")
+
+    def __init__(self, q: int, shifts, lo: int, hi: int, free=None):
         f, W = len(shifts), hi - lo
-        self.p = p
         e = np.arange(lo, hi)
         num = e - np.asarray(shifts)[:, None]
         src = num // q
         free = np.full((f, 1), hi) if free is None else np.asarray(free)[:, None]
         root = (num % q != 0) | (src < lo) | (src >= hi) | (e >= free)
         nodes = np.arange(f * W).reshape(f, W)
-        succ = np.where(root, nodes, ((np.arange(f) + 1) % f * W)[:, None] + src - lo).ravel()
-        comp = np.repeat(np.arange(f), W)
-        self.Cm = np.stack([field.mul_matrix(c) for c in C])
+        succ = np.where(root, nodes, ((np.arange(f) + 1) % f * W)[:, None] + src - lo).ravel().astype(np.int32)
         done = root.ravel()
 
         def levels():
             out = []
-            while (idx := np.flatnonzero(~done & done[succ])).size:
-                out.append((idx, succ[idx], comp[idx]))
+            while (idx := np.flatnonzero(~done & done[succ]).astype(np.int32)).size:
+                out.append((idx, succ[idx]))
                 done[idx] = True
             return out
 
-        self.levels, self.cycle, self.after = levels(), None, []
-        if done.all():
-            return
-        x, path = int(np.flatnonzero(~done)[0]), []
-        while x not in path:
-            path.append(x)
-            x = int(succ[x])
-        cycle = path[path.index(x) :]
-        x = min(cycle)  # u_0 sits on the cycle node of the lowest component
-        cycle = cycle[cycle.index(x) :] + cycle[: cycle.index(x)]
-        pref, prod = [np.eye(m, dtype=np.int64)], field.one()
-        for n in cycle:
-            pref.append(pref[-1] @ self.Cm[comp[n]] % p)
-            prod = prod * C[comp[n]]
-        self.cycle = np.array(cycle)
-        self.pref = np.stack(pref[:-1])  # C_0 ... C_{k-1} for the k-th cycle node
-        self.Cinv = np.stack([field.mul_matrix(C[comp[n]].inv()) for n in cycle])
-        self.cycle_inv = None if prod == field.one() else field.mul_matrix((prod - 1).inv())
-        done[self.cycle] = True
-        self.after = levels()
+        self.levels, self.cycle, self.cycle_comp, self.after = levels(), None, None, []
+        if not done.all():
+            x, path = int(np.flatnonzero(~done)[0]), []
+            while x not in path:
+                path.append(x)
+                x = int(succ[x])
+            cycle = path[path.index(x) :]
+            x = min(cycle)  # u_0 sits on the cycle node of the lowest component
+            self.cycle = np.array(cycle[cycle.index(x) :] + cycle[: cycle.index(x)], dtype=np.int32)
+            self.cycle_comp = self.cycle // W
+            done[self.cycle] = True
+            self.after = levels()
+        arrays = [a for level in self.levels + self.after for a in level] + ([self.cycle, self.cycle_comp] if self.cycle is not None else [])
+        self._nbytes = sum(a.nbytes for a in arrays)
 
     def nbytes(self) -> int:
-        arrays = [self.Cm] + [a for level in self.levels + self.after for a in level]
-        if self.cycle is not None:
-            arrays += [self.cycle, self.pref, self.Cinv]
+        """Bytes of its arrays, counted once when built (``_fit`` reads it on every insert)."""
+        return self._nbytes
+
+
+def fill_order(q: int, shifts, lo: int, hi: int, free=None) -> FillOrder:
+    """The ``FillOrder`` of a window, kept in ``_FILL_ORDERS`` within _FILL_ORDER_BYTES
+    (least recently used out), shared by every transport on it whatever its C."""
+    key = (int(q), tuple(map(int, shifts)), int(lo), int(hi), None if free is None else tuple(map(int, free)))
+    order = _FILL_ORDERS.pop(key, None)
+    _FILL_ORDERS[key] = order or FillOrder(q, shifts, lo, hi, free)
+    if order is None:
+        _fit(_FILL_ORDERS, FillOrder.nbytes, _FILL_ORDER_BYTES)
+    return _FILL_ORDERS[key]
+
+
+class TransportSchedule:
+    """The phi-transport of a window for one C: the shared ``FillOrder`` and the m x m
+    matrices of C, so that one schedule serves every h of its window.  A root gets
+    b_i[e] = -h_i[e], and a level one gather and one batch of m x m products C_i.  On the
+    fixed cycle, (prod C - 1) u_0 = sum_k C_0 ... C_{k-1} h_k; u_0 sits on the first
+    cycle node, and the cycle is filled forward from it, u_{k+1} = C_k^-1 (u_k + h_k),
+    before the levels that hang off it."""
+
+    def __init__(self, field: Field, q: int, shifts, C, lo: int, hi: int, free=None):
+        p, m = field.p, field.m
+        self.p, self.W = p, hi - lo
+        self.order = order = fill_order(q, shifts, lo, hi, free)
+        self.Cm = np.stack([field.mul_matrix(c) for c in C])
+        if order.cycle is None:
+            return
+        pref, prod = [np.eye(m, dtype=np.int64)], field.one()
+        for k in order.cycle_comp.tolist():
+            pref.append(pref[-1] @ self.Cm[k] % p)
+            prod = prod * C[k]
+        self.pref = np.stack(pref[:-1])  # C_0 ... C_{k-1} for the k-th cycle node
+        self.Cinv = np.stack([field.mul_matrix(c.inv()) for c in C])[order.cycle_comp]
+        self.cycle_inv = None if prod == field.one() else field.mul_matrix((prod - 1).inv())
+
+    def nbytes(self) -> int:
+        """Bytes of the matrices of C; the shared fill order is not counted."""
+        arrays = [self.Cm] + ([self.pref, self.Cinv] if self.order.cycle is not None else [])
         return sum(a.nbytes for a in arrays)
 
     def fill(self, h: np.ndarray, t: np.ndarray = None):
@@ -516,36 +562,37 @@ class TransportSchedule:
         sum_k C_0 ... C_{k-1} h_k, and u_0 = t (an (m, B) array, one value per
         right-hand side; default 0) where it vanishes, 0 elsewhere, so a nonzero
         obstruction shows as the one failed equation at the cycle's last node."""
-        p = self.p
-        f, W, m, B = h.shape
+        p, W, order = self.p, self.W, self.order
+        f, _, m, B = h.shape
         h = h.reshape(f * W, m, B)
         b = np.negative(h)
         b %= p
 
         def fill(levels):
-            for idx, src, comp in levels:
-                b[idx] = (np.einsum("nij,njb->nib", self.Cm[comp], b[src]) - h[idx]) % p
+            for idx, src in levels:
+                b[idx] = (np.einsum("nij,njb->nib", self.Cm[idx // W], b[src]) - h[idx]) % p
 
-        fill(self.levels)
+        fill(order.levels)
         obstruction = np.zeros((m, B), dtype=np.int64)
-        if self.cycle is not None:
-            acc = np.einsum("kij,kjb->ib", self.pref, h[self.cycle]) % p
+        if order.cycle is not None:
+            acc = np.einsum("kij,kjb->ib", self.pref, h[order.cycle]) % p
             if self.cycle_inv is None:
                 obstruction = acc
                 u = np.where(acc.any(axis=0), 0, 0 if t is None else t)
             else:
                 u = self.cycle_inv @ acc % p
-            for n, Cinv in zip(self.cycle, self.Cinv):  # forward round the cycle
+            for n, Cinv in zip(order.cycle.tolist(), self.Cinv):  # forward round the cycle
                 b[n] = u
                 u = Cinv @ (u + h[n]) % p
-            fill(self.after)
+            fill(order.after)
         return b.reshape(f, W, m, B), obstruction
 
 
 def phi_transport(field: Field, q: int, shifts, C, lo: int, hi: int, h: np.ndarray, free=None, t: np.ndarray = None):
     """Solve C_i b_{i+1}[(e - shifts_i)/q] - b_i[e] = h_i[e] for b_i[e], i in Z/f, e in [lo, hi),
     for B right-hand sides at once: h has shape (f, hi - lo, m, B).  The window's
-    ``TransportSchedule`` (roots at the sources outside [lo, hi) and at e >= free_i,
-    chain levels, the fixed cycle) and its fill; t is the kernel value on a cycle with
-    prod C = 1.  Returns b, of the shape of h, and the cycle obstruction, of shape (m, B)."""
+    ``TransportSchedule`` (the shared fill order: roots at the sources outside [lo, hi)
+    and at e >= free_i, chain levels, the fixed cycle) and its fill; t is the kernel
+    value on a cycle with prod C = 1.  Returns b, of the shape of h, and the cycle
+    obstruction, of shape (m, B)."""
     return TransportSchedule(field, q, shifts, C, lo, hi, free).fill(h, t)

@@ -69,17 +69,20 @@ class PadicContext:
 
     def __init__(self, ctx: Context, depth=None, pi_order=None):
         self.ctx = ctx
-        self.ring = PadicRing(ctx.field, ctx.padic_depth if depth is None else depth)
         self.M = int(ctx.M if pi_order is None else pi_order)
         self.p, self.f, self.m = ctx.p, ctx.f, ctx.m
+        depth = ctx.padic_depth if depth is None else depth
         # the int64 kernels sum at most 2m - 1 products of two residues < p^N: the
-        # reduction of ``mul_rows`` and ``mul_matrix`` over the rows of the reduction table
+        # reduction of ``mul_rows`` and ``mul_matrix`` over the rows of the reduction table.
+        # At p = 2 a sum that wraps is exact mod 2^64, so mod 2^depth: a residue need only fit.
         terms = 2 * self.m - 1
-        if terms * (self.ring.N - 1) ** 2 > np.iinfo(np.int64).max:
+        if self.p == 2 and 2**depth > np.iinfo(np.int64).max:
+            raise ValueError("p-adic depth %d overflows int64 at p = 2: need 2^depth < 2^63" % depth)
+        if self.p > 2 and terms * (self.p**depth - 1) ** 2 > np.iinfo(np.int64).max:
             raise ValueError(
-                "p-adic depth %d overflows int64 at p = %d, m = %d: need %d (p^depth - 1)^2 < 2^63"
-                % (self.ring.depth, self.p, self.m, terms)
+                "p-adic depth %d overflows int64 at p = %d, m = %d: need %d (p^depth - 1)^2 < 2^63" % (depth, self.p, self.m, terms)
             )
+        self.ring = PadicRing(ctx.field, depth)
         self._units = {}  # chi(gamma) -> GammaUnits
 
     def pi(self, n=1, order=INF):
@@ -154,7 +157,8 @@ class PadicContext:
 
 def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
     """Lambda_gamma as the truncated product prod_j phi^(jf)(w/phi(w)); returns
-    (series, cut_index)."""
+    (series, cut_index).  A factor is 1 mod p^depth after about depth / f steps (depth + 3
+    at (2, 1)), so more than 64 + depth of them means the product does not converge."""
     order = pctx.M if order is None else int(order)
     if gamma.chi_int == 1:
         return LaurentSeries.one(pctx.ring, order), 0
@@ -167,7 +171,7 @@ def big_lambda_gamma(pctx: PadicContext, gamma: GammaElement, order=None):
         acc = (acc * factor).truncate(order)
         factor = pctx.phi(factor, pctx.f)
         cut += 1
-        if cut > 64:
+        if cut > 64 + pctx.ring.depth:
             raise PrecisionError("Lambda_gamma product failed to converge")
     if acc.val() != 0:
         raise PrecisionError("Lambda_gamma is not a unit at this precision")

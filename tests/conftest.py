@@ -1,9 +1,10 @@
 import copy
+import functools
 import random
 
 import pytest
 
-from phigamma import Context, FieldSpec, make_field
+from phigamma import Context, FieldSpec, cocycle, gflinalg, make_field, series, tate
 from phigamma.cocycle import _extent
 from phigamma.field import default_modulus
 
@@ -18,6 +19,24 @@ def ctx_for(p, f, m=None, **kw):
         field = make_field(FieldSpec(p, f, m, default_modulus(p, m)))
         _CTX_CACHE[key] = Context(field, **kw)
     return _CTX_CACHE[key]
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Every module-level cache of the program emptied for one test and restored after
+    it, so that a test which counts builds meets no entry that an earlier test left: the
+    series registry and fill orders of ``tate``, the bases, operator columns and principal
+    parts of ``cocycle``, the ``gflinalg`` contexts and the Pascal blocks of ``series``."""
+    for mod, name in [
+        (tate, "_REGISTRY"),
+        (tate, "_FILL_ORDERS"),
+        (cocycle, "_BASIS_CACHE"),
+        (cocycle, "_COLUMN_CACHE"),
+        (cocycle, "_PRINCIPAL_PARTS"),
+        (gflinalg, "_CACHE"),
+    ]:
+        monkeypatch.setattr(mod, name, {})
+    monkeypatch.setattr(series, "_pascal_block", functools.lru_cache(maxsize=None)(series._pascal_block.__wrapped__))
 
 
 @pytest.fixture

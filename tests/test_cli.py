@@ -103,6 +103,9 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         # depth 19 at p = 3 passes at m <= 3 and overflows at m = 4, where 2m - 1 = 7
         ({"p": 3, "f": 1, "m": 4, "precision": {"padic_depth": 19}}, "wach reduce"),
         ({"p": 5, "f": 1, "precision": {"padic_depth": 14}}, "wach example71"),
+        # at p = 2 the residues must fit in int64: 2^depth < 2^63
+        ({"p": 2, "f": 1, "precision": {"padic_depth": 63}}, "wach reduce"),
+        ({"p": 2, "f": 2, "precision": {"padic_depth": 70}}, "wach reduce"),
         # an index C lies in [0, p^m): 7 used to run C = 1, and 99 and -1 at (5, 2) the index 24
         (dict(GOOD, C=7), "classify"),
         ({"p": 5, "f": 2, "C": 99, "c": [1, 2]}, "classify"),
@@ -155,6 +158,8 @@ GOOD = {"p": 3, "f": 1, "C": 1, "c": [1]}
         "padic_depth=20-at-3-1",
         "padic_depth=19-at-3-1",
         "padic_depth=14-at-5-1",
+        "padic_depth=63-at-2-1",
+        "padic_depth=70-at-2-2",
         "C=7-at-3-1",
         "C=99-at-5-2",
         "C=-1-at-5-2",
@@ -287,6 +292,23 @@ def test_wach_reduce_at_the_deepest_int64_depth(p, depth, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"p": p, "f": 1, "precision": {"padic_depth": depth}}))
     assert cli.main(["--config", str(path), "wach", "reduce"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_match"] is True
+
+
+@pytest.mark.parametrize("f,depth", [(1, 36), (1, 62), (2, 36), (2, 62), (3, 35)])
+def test_p2_wach_reduce_past_the_odd_p_bound(f, depth, tmp_path, capsys):
+    """At p = 2 an int64 sum that wraps is exact mod 2^64, so mod 2^depth: every depth
+    with 2^depth < 2^63 reduces, past the (2m - 1)(p^depth - 1)^2 < 2^63 of odd p, and
+    no int64 overflow warns."""
+    import warnings
+
+    from phigamma import cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p": 2, "f": f, "precision": {"padic_depth": depth}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path), "wach", "reduce"]) == 0
     assert json.loads(capsys.readouterr().out)["all_match"] is True
 
 

@@ -311,10 +311,11 @@ def test_solve_phi_minus_one_matches_neumann_reference(p, f, rng):
         assert (got.floor, got.order) == (want.floor, want.order) and np.array_equal(got.rows, want.rows)
 
 
-def _ref_mu_gamma_from_H(module, i, H, gamma):
+def _ref_mu_gamma_from_H(module, i, gamma):
     ctx = module.ctx
     p, f = ctx.p, ctx.f
     sigma = module.sigma(i)
+    H = cocycle_mod.build_H(module, i)  # built afresh, not read from the shared principal parts
     G = [None] * f
     G[i] = _ref_solve_phi_minus_one(ctx, module.C, sigma, ref_op_lambda_gamma(ctx, gamma, sigma, H))
     k = (i - 1) % f
@@ -485,10 +486,9 @@ def test_mu_xi_keeps_the_longest_build(monkeypatch, p, f):
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
-def test_verify_cocycle_after_a_vj_cut_reads_the_whole_window(monkeypatch, p, f):
+def test_verify_cocycle_after_a_vj_cut_reads_the_whole_window(monkeypatch, fresh_caches, p, f):
     """A V_J table derives the mu_xi of the basis elements only below its thresholds;
     verify_cocycle on those elements still reports the whole window, as on fresh copies."""
-    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE", {})  # a basis whose mu_xi is not derived yet
     ctx = ctx_for(p, f)
     rng = random.Random(7 * p + f)
     for C, c in [(ctx.field.one(), (p - 2,) * f), (ctx.field.generator(), tuple(rng.randrange(p - 1) for _ in range(f)))]:
@@ -525,12 +525,10 @@ def test_lambda_pow_obeys_cocycle_rule_at_eta_powers(p, f):
         gamma = gamma * gamma
 
 
-def test_a_fresh_basis_builds_each_lambda_power_once(monkeypatch):
+def test_a_fresh_basis_builds_each_lambda_power_once(monkeypatch, fresh_caches):
     """build_H reads lambda_eta^sigma on its pole window and _mu_gamma_from_H below M, so
     build_H asks for it to M first: a fresh basis at (5,3) builds each kept series
     (lambda_eta and each power) once, counted by wrapping the builds of ``_cache_below``."""
-    monkeypatch.setattr(tate_mod, "_REGISTRY", {})
-    monkeypatch.setattr(cocycle_mod, "_BASIS_CACHE", {})
     builds = []
     below = tate_mod._cache_below
     monkeypatch.setattr(tate_mod, "_cache_below", lambda key, order, build: below(key, order, lambda n: builds.append(key) or build(n)))
@@ -539,7 +537,7 @@ def test_a_fresh_basis_builds_each_lambda_power_once(monkeypatch):
     assert len(builds) == len(set(builds)) and sum(key[-1] == "lampow" for key in builds) == 3, builds
 
 
-def test_column_cache_is_bounded_by_bytes(monkeypatch):
+def test_column_cache_is_bounded_by_bytes(monkeypatch, fresh_caches):
     """Building operator columns drops the least recently used windows until the cache
     fits its byte bound, counted over every stored column; the newest window stays even
     when it alone is larger, and a hit moves a window to the back."""
@@ -567,7 +565,7 @@ def test_column_cache_is_bounded_by_bytes(monkeypatch):
     assert all(c.dtype == ctx.field.dtype for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values())
 
 
-def test_column_cache_serves_shorter_tops_from_a_prefix(monkeypatch):
+def test_column_cache_serves_shorter_tops_from_a_prefix(monkeypatch, fresh_caches):
     """An image row depends only on the rows at or below it, so the columns of a floor are
     kept without their top: columns built for a long top serve a shorter reader, sliced,
     with no ``op_lambda_gamma_rows`` call, and equal a fresh short build; short columns
@@ -601,7 +599,7 @@ def test_column_cache_serves_shorter_tops_from_a_prefix(monkeypatch):
     assert sum(c.nbytes for cols in cocycle_mod._COLUMN_CACHE.values() for c in cols.values()) == 24 + 3 * 25
 
 
-def test_modules_with_the_same_digits_share_operator_columns(monkeypatch):
+def test_modules_with_the_same_digits_share_operator_columns(monkeypatch, fresh_caches):
     """A second module with the same digits and a new C meets the columns of the first:
     its coboundary tests and span decompositions build none, counted by the calls of
     ``op_lambda_gamma_rows``."""
@@ -623,7 +621,7 @@ def test_modules_with_the_same_digits_share_operator_columns(monkeypatch):
         assert (len(calls) > before) == (basis is inputs[0][0]), len(calls)
 
 
-def test_vj_tables_with_the_same_digits_share_operator_columns(monkeypatch):
+def test_vj_tables_with_the_same_digits_share_operator_columns(monkeypatch, fresh_caches):
     """A second V_J table on the same digits with a new C meets the operator columns of
     the first: its systems (``BoundedSystem.run``, at the window and the doubled one)
     make no ``op_lambda_gamma_rows`` call, counted inside the runs."""
@@ -655,7 +653,7 @@ def test_vj_tables_with_the_same_digits_share_operator_columns(monkeypatch):
     assert counts[0] > 0 and counts[1] == 0, counts
 
 
-def test_basis_cache_is_bounded_by_bytes(monkeypatch):
+def test_basis_cache_is_bounded_by_bytes(monkeypatch, fresh_caches):
     """Building a basis drops the least recently used ones until the cache fits its
     byte bound; the newest stays even when it alone is larger; a hit moves a basis
     to the back."""

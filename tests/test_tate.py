@@ -145,7 +145,7 @@ def test_lambda_pow_digits_match_binary_power(p, f, m):
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
-def test_lambda_pow_below_an_order_is_the_power_cut(p, f, monkeypatch):
+def test_lambda_pow_below_an_order_is_the_power_cut(p, f, monkeypatch, fresh_caches):
     """lambda^sigma built below n on an empty cache equals the whole-window power cut at n,
     in floor, order and rows, for sigma in [-q, 2q], eta and xi and n in 1, 7, M (n rising,
     so each longer read rebuilds); a shorter read after that returns the kept build."""

@@ -734,7 +734,7 @@ def test_operator_columns_match_the_batched_gamma_action(p, f, monkeypatch):
 
 
 @pytest.mark.parametrize("p,f", [(2, 3), (3, 2), (3, 3), (5, 2), (5, 3)])
-def test_missing_operator_columns_come_from_one_call(p, f, monkeypatch):
+def test_missing_operator_columns_come_from_one_call(p, f, monkeypatch, fresh_caches):
     """The missing operator columns of every component are built by one
     ``op_lambda_gamma_rows`` call with one sigma per index of axis 1 (a repeated sigma
     once), counted with a wrapper, and equal the columns built one sigma at a time, the

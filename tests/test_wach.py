@@ -286,11 +286,12 @@ def test_gamma_table_matches_per_lift_reference(p, f):
                     assert_same_series(mine, theirs)
 
 
-# the deepest p-adic depth that (2m - 1)(p^depth - 1)^2 < 2^63 admits, at m = f
+# the deepest p-adic depth the int64 kernels admit, at m = f: (2m - 1)(p^depth - 1)^2 < 2^63
+# for odd p; at p = 2, where a sum that wraps is exact mod 2^depth, 2^depth < 2^63
 DEEPEST = {
-    (2, 1): 31,
-    (2, 2): 30,
-    (2, 3): 30,
+    (2, 1): 62,
+    (2, 2): 62,
+    (2, 3): 62,
     (3, 1): 19,
     (3, 2): 19,
     (3, 3): 19,
