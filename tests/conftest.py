@@ -21,12 +21,10 @@ def ctx_for(p, f, m=None, **kw):
     return _CTX_CACHE[key]
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Every module-level cache of the program emptied for one test and restored after
-    it, so that a test which counts builds meets no entry that an earlier test left: the
-    series registry and fill orders of ``tate``, the bases, operator columns and principal
-    parts of ``cocycle``, the ``gflinalg`` contexts and the Pascal blocks of ``series``."""
+def empty_caches(monkeypatch):
+    """Empty every module-level cache of the program until the test ends: the series
+    registry and fill orders of ``tate``, the bases, operator columns and principal parts
+    of ``cocycle``, the ``gflinalg`` contexts and the Pascal blocks of ``series``."""
     for mod, name in [
         (tate, "_REGISTRY"),
         (tate, "_FILL_ORDERS"),
@@ -37,6 +35,13 @@ def fresh_caches(monkeypatch):
     ]:
         monkeypatch.setattr(mod, name, {})
     monkeypatch.setattr(series, "_pascal_block", functools.lru_cache(maxsize=None)(series._pascal_block.__wrapped__))
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Every module-level cache emptied for one test and restored after it, so that a
+    test which counts builds meets no entry that an earlier test left."""
+    empty_caches(monkeypatch)
 
 
 @pytest.fixture

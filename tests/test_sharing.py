@@ -14,7 +14,7 @@ from phigamma import tate as tate_mod
 from phigamma.cocycle import ModuleBasis
 from phigamma.tate import Context, TransportSchedule
 
-from conftest import ctx_for
+from conftest import ctx_for, empty_caches
 
 
 GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (5, 1), (5, 2)]
@@ -40,11 +40,6 @@ def two_modules(ctx):
     return [RankOneModule(ctx, C, c) for C in (g, g * g)]
 
 
-def empty_shared(monkeypatch):
-    for mod, name in [(tate_mod, "_REGISTRY"), (tate_mod, "_FILL_ORDERS"), (cocycle_mod, "_COLUMN_CACHE"), (cocycle_mod, "_PRINCIPAL_PARTS")]:
-        monkeypatch.setattr(mod, name, {})
-
-
 def same_series(a, b) -> bool:
     return a.floor == b.floor and a.order == b.order and a.rows.dtype == b.rows.dtype and np.array_equal(a.rows, b.rows)
 
@@ -67,7 +62,7 @@ def test_a_basis_on_shared_entries_equals_a_cold_build(p, f, fresh_caches, monke
         ModuleBasis(first)
         assert cocycle_mod._PRINCIPAL_PARTS and tate_mod._FILL_ORDERS
         warm = ModuleBasis(second)
-        empty_shared(monkeypatch)
+        empty_caches(monkeypatch)
         cold = ModuleBasis(second)
         assert same_basis(warm, cold), (ctx.M, second)
 
